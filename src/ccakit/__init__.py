@@ -18,13 +18,9 @@ from .groups import (
     default_cap,
     dihedral,
     direct_product,
-    element_order,
     generalized_dicyclic,
     generalized_dihedral,
     inverse_classes,
-    involutions,
-    is_abelian,
-    is_elementary_abelian_2,
     is_q8_times_c2n,
     left_regular,
     quaternion,

@@ -4,7 +4,8 @@ Every command prints one JSON report to stdout and exits 0 when the
 analysis completed, whatever the verdict says.  Exit 1 flags a usage,
 parse, or elaboration problem; exit 2 means a resource cap blocked the
 requested assertion and --strict was set; exit 3 is an internal
-inconsistency (two routes that must agree did not).
+inconsistency (two routes that must agree did not) or any other unexpected
+failure, reported as one ``internal:`` line instead of a traceback.
 
 Tasks run sequentially; --seedless additionally zeroes timings so that
 identical invocations produce identical bytes.
@@ -127,6 +128,9 @@ def _execute(parser: _Parser, args, task_str: str, env: dict,
             return 1
     except (InternalInconsistencyError, PipelineError) as exc:
         print(f"internal: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, not bad input: no traceback, exit 3
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -70,7 +70,8 @@ class Verdict:
 
 @dataclass
 class AutGroupResult:
-    """The full colour-preserving automorphism group of one graph."""
+    """A group of colour-preserving automorphisms of one graph, listed in
+    full: the whole colour-preserving group, or the stabilizer of vertex 0."""
 
     graph: ColouredGraph
     elements: list[Permutation]
@@ -123,16 +124,16 @@ def _perm_mulclose(gens: list[tuple[int, ...]], limit: int) -> set | None:
     return known
 
 
-def colour_preserving_automorphisms(g: ColouredGraph) -> AutGroupResult:
-    """Backtracking search for every colour-preserving automorphism.
+def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
+    """The colour-preserving automorphisms sending vertex 0 into ``roots``,
+    which must form a group, with a greedy generating subset.
 
-    Requires a connected graph.  Elements come back canonically sorted by
-    image tuple; generators are a greedy generating subset.
+    Elements come back canonically sorted by image tuple.
     """
     if not is_connected(g):
         raise ValueError("graph is not connected; search requires connectivity")
     t0 = time.perf_counter()
-    images, nodes = kernels.search(g.vertex_count, g.colour_matrix())
+    images, nodes = kernels.search(g.vertex_count, g.colour_matrix(), roots)
     millis = (time.perf_counter() - t0) * 1000.0
     elements = [Permutation(t) for t in images]
     gens: list[Permutation] = []
@@ -151,6 +152,15 @@ def colour_preserving_automorphisms(g: ColouredGraph) -> AutGroupResult:
             f"search found {len(elements)}")
     return AutGroupResult(g, elements, gens,
                           SearchStats(nodes=nodes, millis=millis))
+
+
+def colour_preserving_automorphisms(g: ColouredGraph) -> AutGroupResult:
+    """Backtracking search for every colour-preserving automorphism.
+
+    Requires a connected graph.  Elements come back canonically sorted by
+    image tuple; generators are a greedy generating subset.
+    """
+    return _searched_group(g, range(g.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -220,57 +230,55 @@ def _left_translation_set(g: FiniteGroup) -> frozenset[tuple[int, ...]]:
 def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
     """Is every colour-preserving automorphism of Cay(G, C) affine?
 
-    Cross-checked against the equivalent stabilizer formulation: every
-    identity-fixing colour-preserving automorphism must be a group
-    automorphism fixing each colour class setwise.
+    Decided on the stabilizer of vertex 0.  Left translations preserve
+    colours and act transitively, so every colour-preserving map is a
+    translation composed with a stabilizer element: the group has order
+    |G| times the stabilizer's, and it is all affine exactly when the
+    stabilizer is.  A non-affine map stays non-affine after composing with
+    a translation, so the lexicographically first non-affine map of the
+    whole group fixes vertex 0 and is the first non-affine stabilizer
+    element.  Every affine stabilizer element must, after its translation
+    is split off, be a group automorphism fixing each colour class setwise.
     """
     g = cg.group
     checks: list[Check] = []
-    aut = colour_preserving_automorphisms(cg.graph)
+    stab = _searched_group(cg.graph, (0,))
+    order = g.order * stab.order
     checks.append(Check("search", True,
-                        f"{aut.order} colour-preserving automorphisms"))
-    translations = _left_translation_set(g)
-    if not translations <= aut.element_set():
-        raise InternalInconsistencyError(
-            "a left translation failed the colour-preserving search")
+                        f"{order} colour-preserving automorphisms"))
+    # the connection set generates G and translation by c^-1 undoes
+    # translation by c, so one element per colour class suffices
+    for c in cg.colour_classes():
+        if not is_colour_preserving(cg.graph, Permutation(tuple(g.table[c]))):
+            raise InternalInconsistencyError(
+                "a left translation does not preserve colours")
     checks.append(Check("translations-present", True,
                         f"all {g.order} left translations found"))
 
     witness = None
-    for p in aut.elements:
-        affine, _ = is_affine(cg, p)
-        if not affine:
-            witness = p
-            break
-
-    # stabilizer formulation: identity-fixers are class-fixing automorphisms
-    stab_ok = True
-    for p in aut.elements:
-        if p.images[g.identity] != g.identity:
-            continue
+    for p in stab.elements:
         affine, dec = is_affine(cg, p)
-        multiplicative = affine and dec.translation == g.identity
-        if multiplicative:
-            for c in cg.connection:
-                if p.images[c] not in (c, g.inverse[c]):
-                    raise InternalInconsistencyError(
-                        "identity-fixing automorphism moved a colour class")
-        else:
-            stab_ok = False
-    if stab_ok != (witness is None):
-        raise InternalInconsistencyError(
-            "stabilizer formulation disagrees with the affine sweep")
+        if not affine:
+            if witness is None:
+                witness = p
+            continue
+        alpha = dec.automorphism.images
+        for c in cg.connection:
+            if alpha[c] not in (c, g.inverse[c]):
+                raise InternalInconsistencyError(
+                    "affine colour-preserving automorphism moved a colour "
+                    "class")
     checks.append(Check("stabilizer-formulation", True,
                         "both formulations agree"))
 
     if witness is None:
         checks.append(Check("all-affine", True,
-                            f"all {aut.order} automorphisms affine"))
-        return Verdict(VerdictKind.CCA, checks, context=cg, stats=aut.stats)
+                            f"all {order} automorphisms affine"))
+        return Verdict(VerdictKind.CCA, checks, context=cg, stats=stab.stats)
     checks.append(Check("all-affine", False,
                         "non-affine colour-preserving automorphism found"))
     return Verdict(VerdictKind.NON_CCA, checks, witness=witness, context=cg,
-                   stats=aut.stats)
+                   stats=stab.stats)
 
 
 _ENUM_CAP = 1 << 16

@@ -239,22 +239,6 @@ class GroupElement:
         return GroupElement(self.group, self.group.table[self.index][other.index])
 
 
-def element_order(g: FiniteGroup, i: int) -> int:
-    return g.element_order(i)
-
-
-def involutions(g: FiniteGroup) -> list[int]:
-    return g.involutions()
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return g.is_abelian()
-
-
-def is_elementary_abelian_2(g: FiniteGroup) -> bool:
-    return g.is_elementary_abelian_2()
-
-
 def inverse_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     """The {c, c^-1} pairs over non-identity elements, canonically ordered."""
     seen = set()

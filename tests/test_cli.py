@@ -1,9 +1,11 @@
 """Driver behaviour: verdicts on stdout, artifacts on disk, exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from ccakit import cli
 from ccakit.cli import main
 
 
@@ -180,3 +182,24 @@ def test_script_stops_at_first_failure(tmp_path, capsys):
     code, out, err = run(capsys, "script", str(spec))
     assert code == 1
     assert out == ""  # the failing first task printed nothing
+
+
+def test_search_deeper_than_the_recursion_limit(capsys):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        d = run_json(capsys, "check-graph", "C(300)", "{r} +inv")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d["verdict"]["kind"] == "CCA"
+
+
+def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
+    def boom(cg):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(cli, "is_cca_graph", boom)
+    code, out, err = run(capsys, "check-graph", "C(6)", "{r} +inv")
+    assert code == 3
+    assert out == ""
+    assert err == "internal: RuntimeError: engine exploded\n"

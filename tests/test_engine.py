@@ -1,6 +1,8 @@
 """Search, affinity, CCA verdicts, pair recognition, and the lift harness,
 cross-checked against the naive oracles in bruteforce.py."""
 
+from itertools import combinations
+
 import pytest
 
 from ccakit.engine import (VerdictKind, arc_lift_harness,
@@ -10,11 +12,12 @@ from ccakit.engine import (VerdictKind, arc_lift_harness,
                            local_action, replay_witness)
 from ccakit.graphs import ColouredGraph, cayley_graph, complete_colour_graph
 from ccakit.groups import (closure, cyclic, dihedral, direct_product,
-                           left_regular, quaternion)
+                           inverse_classes, left_regular, quaternion)
 from ccakit.perm import Permutation
+from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
-                        edge_dict)
+                        edge_dict, full_route_verdict)
 
 
 def dih_closure(g):
@@ -98,6 +101,39 @@ def test_is_cca_graph_q8_complete():
     assert v.kind is VerdictKind.NON_CCA
     assert v.witness is not None
     assert replay_witness(v)
+
+
+# every group of order <= 12 up to isomorphism (A4 as permutations), plus
+# the second construction of Q8
+ORDER_12_GROUPS = [
+    "C(2)", "C(3)", "C(4)", "C(2) x C(2)", "C(5)", "C(6)", "D(3)", "C(7)",
+    "C(8)", "C(4) x C(2)", "C(2) x C(2) x C(2)", "D(4)", "Q8",
+    "Dic(C(4), r^2)", "C(9)", "C(3) x C(3)", "C(10)", "D(5)", "C(11)",
+    "C(12)", "C(6) x C(2)", "D(6)", "Dic(C(6), r^3)",
+    "Perm[(0 1 2), (0 1)(2 3)]",
+]
+
+
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS)
+def test_is_cca_graph_matches_full_route(expr):
+    """The stabilizer route gives the whole-group route's report on every
+    connected Cayley graph of the group."""
+    g = elaborate(parse_expr(expr), {})
+    classes = inverse_classes(g)
+    graphs = 0
+    for size in range(1, len(classes) + 1):
+        for combo in combinations(classes, size):
+            conn = sorted(c for cls in combo for c in cls)
+            if not g.generates(conn):
+                continue
+            cg = cayley_graph(g, conn)
+            v = is_cca_graph(cg)
+            kind, witness, checks = full_route_verdict(cg)
+            assert v.kind.value == kind, conn
+            assert (v.witness.images if v.witness else None) == witness, conn
+            assert [(c.name, c.passed, c.detail) for c in v.checks] == checks
+            graphs += 1
+    assert graphs > 0
 
 
 def test_is_cca_group_small():
