@@ -13,7 +13,7 @@ dihedral groups with its own non-affine colour-preserving map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 
 from .engine import Check, Verdict, VerdictKind, is_affine, is_arc_regular, \
     is_colour_preserving
@@ -50,9 +50,14 @@ class KnnActors:
         """tau(b_0) = a_0 toward b_0, the arc the labelling hangs from."""
         return Arc(0, self.n)
 
+    @cached_property
+    def g_map(self) -> dict:
+        """Image tuple -> index in G, built once."""
+        return _index_map(self.g)
+
     def g_index(self, p: Permutation) -> int:
         try:
-            return _index_map(self.g)[p.images]
+            return self.g_map[p.images]
         except KeyError:
             raise ValueError("permutation is not an element of G") from None
 
@@ -102,7 +107,8 @@ def knn_actors(n: int) -> KnnActors:
     g = closure([rho1, rho2, tau], cap=2 * n * n,
                 names=["rho1", "rho2", "tau"], name=f"G({n})")
     stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
-    stage(sigma2.images not in _index_map(g), "sigma2 lies inside G")
+    gmap = _index_map(g)
+    stage(sigma2.images not in gmap, "sigma2 lies inside G")
 
     h = closure([rho1, sigma1, rho2, sigma2, tau], cap=8 * n * n,
                 names=["rho1", "sigma1", "rho2", "sigma2", "tau"],
@@ -110,7 +116,6 @@ def knn_actors(n: int) -> KnnActors:
     stage(h.order == 8 * n * n, f"|H| = {h.order}, wanted {8 * n * n}")
 
     # G is C_n x D_2n: the central factor is <rho1 rho2>
-    gmap = _index_map(g)
     model = direct_product(cyclic(n), dihedral(n), cap=2 * n * n)
     images = [gmap[compose(rho1, rho2).images],
               gmap[compose(rho1.inverse(), rho2).images],
@@ -219,7 +224,7 @@ def gamma(actors: KnnActors) -> Permutation:
           and compose(p, actors.tau) == compose(actors.tau, p)
           and compose(p, v) == compose(v, p)
           and compose(p, compose(u, p)) == u.inverse()
-          and p.images not in _index_map(actors.g))
+          and p.images not in actors.g_map)
     if not ok:
         raise PipelineError("gamma", "sigma1 sigma2 tau relations failed")
     return p
@@ -268,7 +273,7 @@ class DoubleDihedral:
 
         labeling = arc_labeling(actors.graph, actors.g, actors.base_arc)
         t_sigma2 = induced_vertex_map(actors.sigma2, labeling)
-        hmap = _index_map(self.group)
+        hmap = self.index_map
         g_in_big = [hmap[p.images] for p in actors.g.realization]
         gidx = self.gamma_index
         by_transport = [0] * self.group.order
@@ -283,9 +288,14 @@ class DoubleDihedral:
                 "exponent route and transport route disagree")
         return Permutation(by_exponents)
 
+    @cached_property
+    def index_map(self) -> dict:
+        """Image tuple -> index in <G, gamma>, built once."""
+        return _index_map(self.group)
+
     @property
     def gamma_index(self) -> int:
-        return _index_map(self.group)[self.gamma.images]
+        return self.index_map[self.gamma.images]
 
 
 def double_dihedral(actors: KnnActors) -> DoubleDihedral:
@@ -319,12 +329,14 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
         raise PipelineError("double-dihedral",
                             "extension does not match D_2n x D_2n")
 
+    rho1_pow = [actors.rho1 ** k for k in range(n)]
+    rho2_pow = [actors.rho2 ** k for k in range(n)]
     nf_of_index: list = [None] * big.order
     index_of_nf: dict = {}
     for i1 in range(n):
-        p1 = actors.rho1 ** i1
+        p1 = rho1_pow[i1]
         for i2 in range(n):
-            p12 = compose(p1, actors.rho2 ** i2)
+            p12 = compose(p1, rho2_pow[i2])
             for e in (0, 1):
                 p12e = compose(p12, actors.tau) if e else p12
                 for d in (0, 1):
@@ -338,14 +350,14 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                     index_of_nf[nf] = idx
 
     inv2 = pow(2, -1, n)
-    u = compose(actors.rho1, actors.rho2)
-    v = compose(actors.rho1.inverse(), actors.rho2)
+    u_pow = [compose(actors.rho1, actors.rho2) ** k for k in range(n)]
+    v_pow = [compose(actors.rho1.inverse(), actors.rho2) ** k
+             for k in range(n)]
     for a in range(n):
-        pa = actors.rho1 ** a
         for b in range(n):
-            lhs = compose(pa, actors.rho2 ** b)
-            rhs = compose(u ** (((a + b) * inv2) % n),
-                          v ** (((b - a) * inv2) % n))
+            lhs = compose(rho1_pow[a], rho2_pow[b])
+            rhs = compose(u_pow[((a + b) * inv2) % n],
+                          v_pow[((b - a) * inv2) % n])
             if lhs != rhs:
                 raise InternalInconsistencyError(
                     f"rebasing identity failed at ({a}, {b})")
@@ -367,7 +379,7 @@ def double_dihedral_witness(n: int) -> Verdict:
     checks.append(Check("double-dihedral", True,
                         f"order {dd.group.order}, matches D_2n x D_2n"))
 
-    bmap = _index_map(dd.group)
+    bmap = dd.index_map
     conn = sorted({bmap[actors.tau.images], dd.gamma_index}
                   | {bmap[(actors.rho2 ** k).images] for k in range(1, n)})
     cg = cayley_graph(dd.group, conn)

@@ -49,29 +49,24 @@ class FiniteGroup:
         self.table = [list(row) for row in table]
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table shape does not match the element count")
+        # a line of n entries is a permutation iff its entries are 0..n-1
+        full = list(range(n))
+        every = set(full)
         for row in self.table:
-            if sorted(row) != list(range(n)):
+            if set(row) != every:
                 raise ValueError("table row is not a permutation of indices")
-        for j in range(n):
-            col = sorted(self.table[i][j] for i in range(n))
-            if col != list(range(n)):
+        for col in zip(*self.table):
+            if set(col) != every:
                 raise ValueError("table column is not a permutation of indices")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][j] == j for j in range(n)) and \
-                    all(self.table[i][e] == i for i in range(n)):
-                ident = e
-                break
-        if ident is None:
+        # rows are distinct once columns are permutations: one candidate
+        ident = next((e for e in range(n) if self.table[e] == full), None)
+        if ident is None or [row[ident] for row in self.table] != full:
             raise ValueError("table has no two-sided identity")
         self.identity = ident
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == ident and self.table[j][i] == ident:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
+        # row i is a permutation, so i*j = identity has exactly one solution
+        inv = [row.index(ident) for row in self.table]
+        for i, j in enumerate(inv):
+            if self.table[j][i] != ident:
                 raise ValueError(f"element {i} has no two-sided inverse")
         self.inverse = inv
         self.generators = dict(generators or {})
@@ -277,6 +272,11 @@ def closure(gens: list[Permutation], cap: int | None = None,
     Elements are discovered breadth-first from the identity, multiplying on
     the right by the generators in the given order, so element 0 is the
     identity and element names are first-seen words in the generators.
+
+    The table costs 2|G|k compositions for k generators, not |G|^2: each
+    element e_i after the identity was found as e_p g_k with p < i, so
+    e_i e_j = e_p (g_k e_j) and row i is row p read through left
+    multiplication by g_k.
     """
     if not gens:
         raise ValueError("closure needs at least one generator")
@@ -295,10 +295,11 @@ def closure(gens: list[Permutation], cap: int | None = None,
     elems: list[Permutation] = [ident]
     index: dict[Permutation, int] = {ident: 0}
     words: list[list[str]] = [[]]
+    found_as: list[tuple[int, int]] = []  # (p, k) with e_i = e_p g_k, i >= 1
     qi = 0
     while qi < len(elems):
         base = elems[qi]
-        for gname, gp in zip(names, gens):
+        for k, (gname, gp) in enumerate(zip(names, gens)):
             q = base * gp
             if q not in index:
                 if len(elems) >= cap:
@@ -308,10 +309,14 @@ def closure(gens: list[Permutation], cap: int | None = None,
                 index[q] = len(elems)
                 elems.append(q)
                 words.append(words[qi] + [gname])
+                found_as.append((qi, k))
         qi += 1
 
-    n = len(elems)
-    table = [[index[elems[i] * elems[j]] for j in range(n)] for i in range(n)]
+    lmul = [[index[gp * e] for e in elems] for gp in gens]
+    table = [list(range(len(elems)))]
+    for p, k in found_as:
+        row_p = table[p]
+        table.append([row_p[x] for x in lmul[k]])
     return FiniteGroup(
         [_format_word(w) for w in words], table,
         generators={nm: index[gp] for nm, gp in zip(names, gens)},
@@ -498,13 +503,19 @@ def wreath_c2(g: FiniteGroup, cap: int | None = None) -> FiniteGroup:
     def idx(a, b, s):
         return (a * n + b) * 2 + s
 
-    table = [[0] * size for _ in range(size)]
-    for a1, b1, s1 in iproduct(range(n), range(n), range(2)):
-        row = table[idx(a1, b1, s1)]
-        for a2, b2, s2 in iproduct(range(n), range(n), range(2)):
-            c, d = (a2, b2) if s1 == 0 else (b2, a2)
-            row[idx(a2, b2, s2)] = idx(g.table[a1][c], g.table[b1][d],
-                                       (s1 + s2) % 2)
+    # (a1, b1) (a2, b2, s) = (a1 a2, b1 b2, s): a1's row picks the block of
+    # 2|G| indices, b1's row the offset inside it.  Then (a1, b1) t is that
+    # row read through x -> t x, which sends (a2, b2, s) to (b2, a2, 1 - s).
+    ids = list(range(size))
+    blocks = [ids[2 * n * x:2 * n * (x + 1)] for x in range(n)]
+    t_left = [idx(b, a, 1 - s)
+              for a, b, s in iproduct(range(n), range(n), range(2))]
+    table = []
+    for a1, b1 in iproduct(range(n), repeat=2):
+        offsets = [2 * y + s for y in g.table[b1] for s in (0, 1)]
+        row = [blocks[x][o] for x in g.table[a1] for o in offsets]
+        table.append(row)
+        table.append([row[j] for j in t_left])
     names = [None] * size
     for a, b, s in iproduct(range(n), range(n), range(2)):
         core = f"({g.elements[a]},{g.elements[b]})"

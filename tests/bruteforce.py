@@ -1,16 +1,20 @@
 """Independent oracles the test suite trusts over the package under test.
 
 Everything here is deliberately naive: filter all n! vertex permutations,
-multiply tables entry by entry.  Usable up to 8 vertices or so.  The one
-exception is ``full_route_verdict``, which reads the CCA verdict off the
-whole colour-preserving group: the route that the package's decision from
-the stabilizer of vertex 0 must agree with.
+multiply tables entry by entry.  Usable up to 8 vertices or so.  Two
+exceptions keep an older route of the package as a reference:
+``full_route_verdict`` reads the CCA verdict off the whole colour-preserving
+group, which the decision from the stabilizer of vertex 0 must agree with,
+and ``closure_by_products`` builds a group table from all |G|^2 permutation
+products, which ``groups.closure`` must reproduce.
 """
 
 from itertools import permutations
 
 from ccakit import kernels
 from ccakit.engine import is_affine
+from ccakit.errors import CapExceededError
+from ccakit.groups import _format_word
 from ccakit.perm import Permutation
 
 
@@ -89,3 +93,36 @@ def full_route_verdict(cg):
     checks.append(("all-affine", False,
                    "non-affine colour-preserving automorphism found"))
     return "non-CCA", witness, checks
+
+
+def product_table(perms) -> list[list[int]]:
+    """``table[i][j]`` = index of perms[i] * perms[j]; perms must be closed."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[p * q] for q in perms] for p in perms]
+
+
+def closure_by_products(gens, names, cap):
+    """The group generated by ``gens`` the slow way.
+
+    Breadth-first from the identity, multiplying on the right by the
+    generators in order, then the full product table.  Returns (element
+    names, generators, realization, table) as ``groups.closure`` lays them
+    out.
+    """
+    elems = [Permutation.identity(gens[0].degree)]
+    index = {elems[0]: 0}
+    words = [[]]
+    qi = 0
+    while qi < len(elems):
+        for gname, gp in zip(names, gens):
+            q = elems[qi] * gp
+            if q not in index:
+                if len(elems) >= cap:
+                    raise CapExceededError(f"order exceeds cap {cap}")
+                index[q] = len(elems)
+                elems.append(q)
+                words.append(words[qi] + [gname])
+        qi += 1
+    generators = {nm: index[gp] for nm, gp in zip(names, gens)}
+    return ([_format_word(w) for w in words], generators, elems,
+            product_table(elems))

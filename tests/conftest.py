@@ -11,9 +11,10 @@ _TAG = re.compile(r"test_acceptance\.py::test_ac(\d+)")
 
 _TITLES = {
     1: "reflection witness at n = 3: non-CCA on 18 vertices, under 1 s",
-    2: "the same witness at n = 5 and n = 7, under 30 s each",
+    2: "the same witness at n = 5, 7, 11 and 13, under 30 s each",
     3: "connection-set search on C(3) x D(3) finds a witness, under 2 min",
-    4: "flip witness on 36 and 100 vertices, under 1 min combined",
+    4: "flip witness on 36 and 100 vertices, under 1 min combined; "
+       "196 vertices under 30 s",
     5: "arc-lift harness: hypotheses and every transported map, n = 3 and 5",
     6: "check-group C(n) returns CCA for every n <= 10, under 5 min",
     7: "backtracking equals the all-permutations filter on 20 small graphs",

@@ -65,9 +65,10 @@ def test_ac1_reflection_witness_n3(capsys):
     assert names == {"tau", "rho2", "rho2^2"}
 
 
-# ---- 2: the same witness at n = 5 and 7 -----------------------------------
+# ---- 2: the same witness at n = 5, 7, 11 and 13 ---------------------------
 
-@pytest.mark.parametrize("n,vertices", [(5, 50), (7, 98)])
+@pytest.mark.parametrize("n,vertices",
+                         [(5, 50), (7, 98), (11, 242), (13, 338)])
 def test_ac2_reflection_witness_scales(capsys, n, vertices):
     doc, elapsed = run_json(capsys, "witness-thm31", "--n", str(n))
     assert doc["verdict"]["kind"] == "non-CCA"
@@ -103,6 +104,13 @@ def test_ac4_flip_witness_combined(capsys):
     assert is_colour_preserving(v.context.graph, v.witness)
     affine, _ = is_affine(v.context, v.witness)
     assert not affine
+
+
+def test_ac4_flip_witness_at_n_7(capsys):
+    doc, elapsed = run_json(capsys, "witness-prop33", "--n", "7")
+    assert doc["verdict"]["kind"] == "non-CCA"
+    assert len(doc["verdict"]["witness_images"]) == 196
+    assert elapsed < 30.0
 
 
 # ---- 5: arc-lift harness ---------------------------------------------------

@@ -6,7 +6,11 @@ test.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccakit import perm
+from ccakit.bipartite import double_dihedral, knn_actors
 from ccakit.errors import CapExceededError
 from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            closure, cyclic, dihedral, direct_product,
@@ -16,6 +20,8 @@ from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            minimal_generating_sequence, q8_c2n_isomorphism,
                            quaternion, recognize_dicyclic, wreath_c2)
 from ccakit.perm import Permutation
+
+from bruteforce import closure_by_products
 
 
 def naive_element_order(table, i):
@@ -104,13 +110,114 @@ def test_wreath_order():
     assert naive_profile(w) == w.order_profile()
 
 
+def assert_closure_matches_products(g, gens, names):
+    """g = closure(gens, names) laid out exactly as the |G|^2 route does."""
+    elements, generators, realization, table = \
+        closure_by_products(gens, names, 512)
+    assert g.elements == elements
+    assert g.generators == generators
+    assert g.realization == realization
+    assert g.table == table
+
+
 def test_closure_of_left_regular_recovers_order():
     for g in CORPUS:
         reg = left_regular(g)
         gens = [reg.realization[i] for i in reg.generators.values()]
         if not gens:  # trivial group
             continue
-        assert closure(gens).order == g.order
+        names = list(reg.generators)
+        closed = closure(gens, names=names)
+        assert closed.order == g.order
+        assert_closure_matches_products(closed, gens, names)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_closure_of_knn_groups_matches_products(n):
+    actors = knn_actors(n)
+    for g in (actors.g, actors.h, double_dihedral(actors).group):
+        gens = [g.realization[i] for i in g.generators.values()]
+        assert_closure_matches_products(g, gens, list(g.generators))
+
+
+@pytest.mark.parametrize("a", [cyclic(3), cyclic(8), cyclic(12),
+                               direct_product(cyclic(2), cyclic(2)),
+                               direct_product(cyclic(2), cyclic(6))],
+                         ids=lambda g: g.name)
+def test_closure_of_dih_point_group_matches_products(a):
+    # the point group the pair command builds for B = Dih(G)
+    gens = [Permutation(tuple(row)) for row in a.table]
+    gens.append(Permutation(tuple(a.inverse)))
+    names = [f"g{i}" for i in range(len(gens))]
+    g = closure(gens)
+    assert g.order == (a.order if a.is_elementary_abelian_2()
+                       else 2 * a.order)
+    assert_closure_matches_products(g, gens, names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_matches_products_on_random_generators(data):
+    degree = data.draw(st.integers(1, 7), label="degree")
+    gens = data.draw(st.lists(
+        st.permutations(range(degree)).map(Permutation),
+        min_size=1, max_size=3), label="gens")
+    names = [f"g{i}" for i in range(len(gens))]
+    try:
+        expected = closure_by_products(gens, names, 120)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            closure(gens, cap=120)
+        return
+    g = closure(gens, cap=120)
+    assert (g.elements, g.generators, g.realization, g.table) == expected
+
+
+def test_closure_composes_linearly_in_the_order(monkeypatch):
+    a = knn_actors(5)
+    gens = [a.rho1, a.sigma1, a.rho2, a.sigma2, a.tau]
+    calls = 0
+    compose = perm.compose
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(perm, "compose", counting)
+    h = closure(gens, cap=200)
+    assert h.order == 200
+    # the |G|^2 table alone would take 40,000
+    assert 0 < calls <= 2 * h.order * len(gens)
+
+
+def test_h3_and_its_wreath_model_pass_validate():
+    knn_actors(3).h.validate()
+    wreath_c2(dihedral(3)).validate()
+
+
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 3, 4, 0, 1],  # 2*3 = e ...
+         [3, 4, 1, 2, 0],  # ... but 3*2 = 1
+         [4, 2, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("table,match", [
+    ([[0, 1], [1]], "shape"),
+    ([[0, 1], [1, 0], [0, 1]], "shape"),
+    ([[0, 1], [0, 0]], "row is not a permutation"),
+    ([[0, 1], [0, 1]], "column is not a permutation"),
+    ([[(i - j) % 3 for j in range(3)] for i in range(3)],
+     "no two-sided identity"),
+    ([[(j - i) % 3 for j in range(3)] for i in range(3)],  # left identity
+     "no two-sided identity"),
+    (LOOP5, "element 2 has no two-sided inverse"),
+], ids=["short-row", "extra-row", "row", "column", "no-identity",
+        "left-identity-only", "one-sided-inverse"])
+def test_finite_group_rejects_non_groups(table, match):
+    with pytest.raises(ValueError, match=match):
+        FiniteGroup([f"x{i}" for i in range(len(table[0]))], table)
 
 
 def test_closure_cap_is_loud():
