@@ -7,7 +7,7 @@ decides whether every one of them is affine (a left translation composed with
 a group automorphism).  Graphs and groups where that holds are called CCA.
 """
 
-from .perm import Permutation, compose, identity, inverse
+from .perm import Permutation, compose
 from .groups import (
     FiniteGroup,
     GroupElement,
@@ -21,7 +21,6 @@ from .groups import (
     generalized_dicyclic,
     generalized_dihedral,
     inverse_classes,
-    is_q8_times_c2n,
     left_regular,
     quaternion,
     recognize_dicyclic,

@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
                        help="run check-group over catalogued groups")
     p.add_argument("--orders", required=True, metavar="A..B",
                    help="inclusive order range, e.g. 4..18")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int,
+                   help="bound on connection sets examined per group")
 
     p = sub.add_parser("script", parents=[shared],
                        help="run declarations and tasks from a file")

@@ -19,7 +19,8 @@ from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph, cayley_graph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, Permutation, automorphisms, closure,
-                     inverse_classes, q8_c2n_isomorphism, recognize_dicyclic)
+                     greedy_closure, inverse_classes, q8_c2n_isomorphism,
+                     recognize_dicyclic)
 
 
 class VerdictKind(str, Enum):
@@ -102,26 +103,16 @@ def is_colour_preserving(g: ColouredGraph, p: Permutation) -> bool:
     return True
 
 
-def _perm_mulclose(gens: list[tuple[int, ...]], limit: int) -> set | None:
-    """Close image tuples under composition; None once past ``limit``."""
-    if not gens:
-        return None
-    degree = len(gens[0])
-    ident = tuple(range(degree))
-    known = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = tuple(a[x] for x in b)
-                if c not in known:
-                    if len(known) >= limit:
-                        return None
-                    known.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return known
+class _After:
+    """``_After(a)[b]`` is the image tuple of a o b: b first, then a."""
+
+    __slots__ = ("get",)
+
+    def __init__(self, a: tuple[int, ...]):
+        self.get = a.__getitem__
+
+    def __getitem__(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(self.get, b))
 
 
 def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
@@ -135,22 +126,16 @@ def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
     t0 = time.perf_counter()
     images, nodes = kernels.search(g.vertex_count, g.colour_matrix(), roots)
     millis = (time.perf_counter() - t0) * 1000.0
-    elements = [Permutation(t) for t in images]
-    gens: list[Permutation] = []
-    known: set | None = {tuple(range(g.vertex_count))}
-    for p in elements:
-        if p.images not in known:
-            gens.append(p)
-            known = _perm_mulclose([q.images for q in gens], len(elements))
-            if known is None or len(known) == len(elements):
-                break
-    if known is None or len(known) != len(elements):
-        # the greedy closure must land exactly on the search result
+    kept, known = greedy_closure(images, tuple(range(g.vertex_count)),
+                                 _After, limit=len(images))
+    if known is None or len(known) != len(images):
+        # every search result lies in the closure, so it must be all of it
         got = "unbounded" if known is None else str(len(known))
         raise InternalInconsistencyError(
             f"generator reconstruction found {got} elements, "
-            f"search found {len(elements)}")
-    return AutGroupResult(g, elements, gens,
+            f"search found {len(images)}")
+    return AutGroupResult(g, [Permutation(t) for t in images],
+                          [Permutation(t) for t in kept],
                           SearchStats(nodes=nodes, millis=millis))
 
 
@@ -281,16 +266,20 @@ def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
                    stats=stab.stats)
 
 
-_ENUM_CAP = 1 << 16
+_ENUM_CAP = 1 << 16  # Aut(G) listing limit, and the default cap
 
 
 def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     """Check every connected Cayley graph on g, up to Aut(g) symmetry.
 
-    Connection sets are unions of inverse classes, enumerated smallest
-    first; one representative per Aut(g) orbit when the automorphism group
-    is small enough to enumerate.  A truncated enumeration that saw no
-    witness returns unknown-cap instead of CCA.
+    Connection sets are unions of inverse classes, walked by size and then
+    in ``combinations`` order, which within one size is the order of their
+    sorted element tuples (classes are ordered by their least element).  The
+    first member of each Aut(g) orbit met is examined and marks the rest of
+    its orbit, so each orbit is examined once, at its least member.  Aut(g)
+    is listed up to 65,536 elements; above that every subset is walked.
+    ``cap`` bounds the connection sets examined: reaching it before the walk
+    ends or a witness turns up returns unknown-cap instead of CCA.
     """
     cap = _ENUM_CAP if cap is None else cap
     if cap < 1:
@@ -305,33 +294,37 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
         checks.append(Check("trivial-group", True, "only the empty graph"))
         return Verdict(v.kind, checks, context=cg, stats=v.stats)
 
-    auts = automorphisms(g, limit=cap)
+    auts = automorphisms(g, limit=_ENUM_CAP)
     if auts is None:
         checks.append(Check("orbit-pruning", False,
-                            "Aut(G) larger than cap, enumerating all subsets"))
-        aut_maps = None
+                            f"|Aut(G)| > {_ENUM_CAP}, walking every subset"))
+        class_maps = {tuple(range(len(classes)))}
     else:
-        aut_maps = [a.images for a in auts]
-        checks.append(Check("orbit-pruning", True,
-                            f"|Aut(G)| = {len(aut_maps)}"))
+        checks.append(Check("orbit-pruning", True, f"|Aut(G)| = {len(auts)}"))
+        # automorphisms permute the inverse classes
+        class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+        class_maps = {tuple(class_of[a.images[cls[0]]] for cls in classes)
+                      for a in auts}
 
     processed = 0
-    truncated = False
     for size in range(1, len(classes) + 1):
-        if truncated:
-            break
+        ahead: set[tuple[int, ...]] = set()  # orbit members not yet reached
         for combo in combinations(range(len(classes)), size):
+            if combo in ahead:
+                ahead.remove(combo)
+                continue  # its orbit was met at an earlier subset
+            ahead.update(tuple(sorted(m[k] for k in combo))
+                         for m in class_maps)
+            ahead.discard(combo)
             conn = tuple(sorted(c for k in combo for c in classes[k]))
-            if aut_maps is not None:
-                canonical = min(tuple(sorted(a[c] for c in conn))
-                                for a in aut_maps)
-                if canonical < conn:
-                    continue  # another subset in the orbit comes first
             if not g.generates(conn):
                 continue
             if processed >= cap:
-                truncated = True
-                break
+                checks.append(Check("connection-sets-examined", False,
+                                    str(processed)))
+                checks.append(Check("enumeration-complete", False,
+                                    f"stopped at cap {cap}"))
+                return Verdict(VerdictKind.UNKNOWN_CAP, checks, stats=stats)
             processed += 1
             cg = cayley_graph(g, conn)
             v = is_cca_graph(cg)
@@ -345,12 +338,7 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
                 return Verdict(VerdictKind.NON_CCA, checks,
                                witness=v.witness, context=cg, stats=stats,
                                data={"connection": list(conn)})
-    checks.append(Check("connection-sets-examined", not truncated,
-                        str(processed)))
-    if truncated:
-        checks.append(Check("enumeration-complete", False,
-                            f"stopped at cap {cap}"))
-        return Verdict(VerdictKind.UNKNOWN_CAP, checks, stats=stats)
+    checks.append(Check("connection-sets-examined", True, str(processed)))
     return Verdict(VerdictKind.CCA, checks, stats=stats)
 
 
@@ -432,8 +420,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("abelian-inversion-shape", bullet_1, ""))
 
     bullet_2 = False
+    iso = q8_c2n_isomorphism(ghat)
     dic_witnesses = recognize_dicyclic(ghat)
-    if dic_witnesses and q8_c2n_isomorphism(ghat) is None:
+    if dic_witnesses and iso is None:
         for w in dic_witnesses:
             inside = set(w.subgroup)
             sigma = tuple(i if i in inside else ghat.inverse[i]
@@ -451,7 +440,6 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("dicyclic-reflection-shape", bullet_2, detail_2))
 
     bullet_3 = False
-    iso = q8_c2n_isomorphism(ghat)
     if iso is not None:
         back = iso.inverted()
         k = ghat.order // 8
@@ -464,8 +452,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
             sigmas.append(tuple(back.images[sigma_t[iso.images[i]]]
                                 for i in range(ghat.order)))
         gens = [tuple(row) for row in ghat.table] + sigmas
-        span = _perm_mulclose(gens, len(a0) + 1)
-        bullet_3 = span is not None and span == a0
+        _, span = greedy_closure(gens, tuple(range(ghat.order)),
+                                 _After, limit=len(a0))
+        bullet_3 = span == a0
         if bullet_3 and witness is None:
             witness = Permutation(sigmas[0])
     checks.append(Check("quaternion-reflections-shape", bullet_3, ""))

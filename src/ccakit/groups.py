@@ -131,19 +131,8 @@ class FiniteGroup:
             self.table[i][i] == self.identity for i in range(self.order))
 
     def subgroup_closure(self, gens) -> frozenset[int]:
-        """Indices of the subgroup generated by ``gens`` (right-mult BFS)."""
-        known = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = self.table[x][s]
-                    if y not in known:
-                        known.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        """Indices of the subgroup generated by ``gens``."""
+        _, known = greedy_closure(gens, self.identity, self.table.__getitem__)
         return frozenset(known)
 
     def generates(self, indices) -> bool:
@@ -232,6 +221,40 @@ class GroupElement:
         if other.group is not self.group:
             raise ValueError("elements of different groups")
         return GroupElement(self.group, self.group.table[self.index][other.index])
+
+
+def greedy_closure(candidates, identity, row, limit: int | None = None):
+    """Keep each candidate outside the closure of those kept before it.
+
+    ``row(s)[x]`` is the product s*x.  Returns ``(kept, closure)``: the kept
+    candidates in scan order and the subgroup they generate.  The closure
+    is None once it would pass ``limit`` elements; ``kept`` then ends with
+    the candidate that pushed it over.
+
+    The closure grows incrementally (Dimino): the known elements are closed
+    under the earlier generators, so a new generator multiplies each of
+    them once, and only newly found elements meet every kept generator:
+    at most |closure| * len(kept) products.
+    """
+    kept: list = []
+    rows: list = []
+    known = {identity}
+    order = [identity]
+    for s in candidates:
+        if s in known:
+            continue
+        kept.append(s)
+        rows.append(row(s))
+        new, closed = rows[-1:], len(order)
+        for i, x in enumerate(order):  # also walks what it appends
+            for r in (new if i < closed else rows):
+                y = r[x]
+                if y not in known:
+                    if limit is not None and len(known) >= limit:
+                        return kept, None
+                    known.add(y)
+                    order.append(y)
+    return kept, known
 
 
 def inverse_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -561,14 +584,7 @@ class Isomorphism:
 
 def minimal_generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy generating sequence: scan indices, keep what grows the closure."""
-    gens: list[int] = []
-    known = frozenset({g.identity})
-    for i in range(g.order):
-        if i not in known:
-            gens.append(i)
-            known = g.subgroup_closure(gens)
-            if len(known) == g.order:
-                break
+    gens, _ = greedy_closure(range(g.order), g.identity, g.table.__getitem__)
     return gens
 
 
@@ -723,7 +739,3 @@ def q8_c2n_isomorphism(g: FiniteGroup) -> Isomorphism | None:
     while target.order < m:
         target = direct_product(target, cyclic(2), cap=m)
     return are_isomorphic(g, target)
-
-
-def is_q8_times_c2n(g: FiniteGroup) -> bool:
-    return q8_c2n_isomorphism(g) is not None

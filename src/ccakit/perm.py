@@ -120,10 +120,3 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     pi = p.images
     return Permutation([pi[x] for x in qi])
 
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def identity(degree: int) -> Permutation:
-    return Permutation.identity(degree)

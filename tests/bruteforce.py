@@ -1,20 +1,25 @@
 """Independent oracles the test suite trusts over the package under test.
 
 Everything here is deliberately naive: filter all n! vertex permutations,
-multiply tables entry by entry.  Usable up to 8 vertices or so.  Two
+multiply tables entry by entry.  Usable up to 8 vertices or so.  A few
 exceptions keep an older route of the package as a reference:
 ``full_route_verdict`` reads the CCA verdict off the whole colour-preserving
-group, which the decision from the stabilizer of vertex 0 must agree with,
-and ``closure_by_products`` builds a group table from all |G|^2 permutation
-products, which ``groups.closure`` must reproduce.
+group, which the decision from the stabilizer of vertex 0 must agree with;
+``closure_by_products`` builds a group table from all |G|^2 permutation
+products, which ``groups.closure`` must reproduce; ``reclosing_scan`` closes
+from scratch after every pick, which ``groups.greedy_closure`` must match;
+and ``min_walk_verdict`` keeps one connection set per Aut(G) orbit by a
+``min`` over every automorphism, which ``engine.is_cca_group`` must match.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from ccakit import kernels
-from ccakit.engine import is_affine
+from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
+                           is_affine, is_cca_graph)
 from ccakit.errors import CapExceededError
-from ccakit.groups import _format_word
+from ccakit.graphs import cayley_graph
+from ccakit.groups import _format_word, automorphisms, inverse_classes
 from ccakit.perm import Permutation
 
 
@@ -126,3 +131,83 @@ def closure_by_products(gens, names, cap):
     generators = {nm: index[gp] for nm, gp in zip(names, gens)}
     return ([_format_word(w) for w in words], generators, elems,
             product_table(elems))
+
+
+def _bfs_closure(gens, identity, mul, limit):
+    """Close under right multiplication by gens; None once past limit."""
+    known = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = mul(a, b)
+                if c not in known:
+                    if limit is not None and len(known) >= limit:
+                        return None
+                    known.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return known
+
+
+def reclosing_scan(candidates, identity, mul, limit=None):
+    """Greedy generators, closing from scratch after every pick.
+
+    Returns (kept, closure) with ``closure`` None once it passes ``limit``,
+    as ``groups.greedy_closure`` lays them out; ``mul(a, b)`` is a*b.
+    """
+    kept = []
+    known = {identity}
+    for c in candidates:
+        if c not in known:
+            kept.append(c)
+            known = _bfs_closure(kept, identity, mul, limit)
+            if known is None:
+                return kept, None
+    return kept, known
+
+
+def min_walk_verdict(g, cap):
+    """``is_cca_group`` by a canonical-subset minimum over all of Aut(G).
+
+    Walks unions of inverse classes by size, keeps a subset only when no
+    automorphism maps it to a smaller sorted element tuple, and counts
+    towards ``cap`` only the generating subsets it examines.  Returns
+    (verdict, connection sets examined in order).
+    """
+    checks = []
+    stats = SearchStats()
+    examined = []
+    classes = inverse_classes(g)
+    aut_maps = [a.images for a in automorphisms(g)]
+    checks.append(Check("orbit-pruning", True, f"|Aut(G)| = {len(aut_maps)}"))
+    for size in range(1, len(classes) + 1):
+        for combo in combinations(range(len(classes)), size):
+            conn = tuple(sorted(c for k in combo for c in classes[k]))
+            if min(tuple(sorted(a[c] for c in conn)) for a in aut_maps) < conn:
+                continue
+            if not g.generates(conn):
+                continue
+            if len(examined) >= cap:
+                checks.append(Check("connection-sets-examined", False,
+                                    str(len(examined))))
+                checks.append(Check("enumeration-complete", False,
+                                    f"stopped at cap {cap}"))
+                return Verdict(VerdictKind.UNKNOWN_CAP, checks,
+                               stats=stats), examined
+            examined.append(conn)
+            cg = cayley_graph(g, conn)
+            v = is_cca_graph(cg)
+            stats.add(v.stats)
+            if v.kind is VerdictKind.NON_CCA:
+                names = ", ".join(g.elements[c] for c in conn)
+                checks.append(Check("witness-connection-set", True,
+                                    "{" + names + "}"))
+                checks.append(Check("connection-sets-examined", True,
+                                    str(len(examined))))
+                return Verdict(VerdictKind.NON_CCA, checks, witness=v.witness,
+                               context=cg, stats=stats,
+                               data={"connection": list(conn)}), examined
+    checks.append(Check("connection-sets-examined", True, str(len(examined))))
+    return Verdict(VerdictKind.CCA, checks, stats=stats), examined

@@ -1,10 +1,12 @@
 """Search, affinity, CCA verdicts, pair recognition, and the lift harness,
 cross-checked against the naive oracles in bruteforce.py."""
 
+import time
 from itertools import combinations
 
 import pytest
 
+from ccakit import engine
 from ccakit.engine import (VerdictKind, arc_lift_harness,
                            colour_preserving_automorphisms, is_affine,
                            is_arc_regular, is_cca_graph, is_cca_group,
@@ -17,7 +19,7 @@ from ccakit.perm import Permutation
 from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
-                        edge_dict, full_route_verdict)
+                        edge_dict, full_route_verdict, min_walk_verdict)
 
 
 def dih_closure(g):
@@ -163,6 +165,66 @@ def test_is_cca_group_cap_truncation():
                for c in v.checks)
     with pytest.raises(ValueError):
         is_cca_group(dihedral(6), cap=0)
+
+
+def _report(v):
+    return (v.kind, [(c.name, c.passed, c.detail) for c in v.checks],
+            v.witness, v.stats.nodes, v.data)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS)
+def test_is_cca_group_matches_min_walk(expr, cap, monkeypatch):
+    """The orbit walk examines the connection sets the per-subset minimum
+    over all of Aut(G) keeps, in the same order, and reports the same."""
+    g = elaborate(parse_expr(expr), {})
+    examined = []
+
+    def recording(group, conn):
+        examined.append(tuple(conn))
+        return cayley_graph(group, conn)
+
+    monkeypatch.setattr(engine, "cayley_graph", recording)
+    v = is_cca_group(g, cap=cap)
+    expected, expected_examined = min_walk_verdict(
+        g, engine._ENUM_CAP if cap is None else cap)
+    assert examined == expected_examined
+    assert _report(v) == _report(expected)
+
+
+def test_cap_counts_only_connection_sets():
+    # |Aut(C12)| = 4 exceeds the cap of 3, yet the orbits are still used
+    v = is_cca_group(cyclic(12), cap=3)
+    assert v.kind is VerdictKind.UNKNOWN_CAP
+    assert (v.checks[0].name, v.checks[0].passed, v.checks[0].detail) == \
+        ("orbit-pruning", True, "|Aut(G)| = 4")
+
+
+def test_is_cca_group_walks_every_subset_above_the_aut_limit(monkeypatch):
+    g = cyclic(12)
+    classes = inverse_classes(g)
+    generating = sum(1 for size in range(1, len(classes) + 1)
+                     for combo in combinations(classes, size)
+                     if g.generates([c for cls in combo for c in cls]))
+    monkeypatch.setattr(engine, "_ENUM_CAP", 3)  # |Aut(C12)| = 4
+    v = is_cca_group(g, cap=1000)
+    assert v.kind is VerdictKind.CCA
+    assert [(c.name, c.passed, c.detail) for c in v.checks] == [
+        ("orbit-pruning", False, "|Aut(G)| > 3, walking every subset"),
+        ("connection-sets-examined", True, str(generating))]
+
+
+def test_is_cca_group_elementary_abelian_16():
+    """|Aut| = 20,160 over 2^15 - 1 subsets: a minimum over all of Aut(G)
+    for every subset takes more than 600 s here."""
+    g = elaborate(parse_expr("C(2) x C(2) x C(2) x C(2)"), {})
+    t0 = time.perf_counter()
+    v = is_cca_group(g)
+    assert time.perf_counter() - t0 < 60
+    assert v.kind is VerdictKind.CCA
+    assert [(c.name, c.detail) for c in v.checks] == [
+        ("orbit-pruning", "|Aut(G)| = 20160"),
+        ("connection-sets-examined", "36")]
 
 
 def test_pair_yes_cyclic_dihedral():

@@ -15,13 +15,13 @@ from ccakit.errors import CapExceededError
 from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            closure, cyclic, dihedral, direct_product,
                            extend_homomorphism, generalized_dicyclic,
-                           generalized_dihedral, inverse_classes,
-                           is_q8_times_c2n, left_regular,
+                           generalized_dihedral, greedy_closure,
+                           inverse_classes, left_regular,
                            minimal_generating_sequence, q8_c2n_isomorphism,
                            quaternion, recognize_dicyclic, wreath_c2)
 from ccakit.perm import Permutation
 
-from bruteforce import closure_by_products
+from bruteforce import closure_by_products, reclosing_scan
 
 
 def naive_element_order(table, i):
@@ -191,6 +191,69 @@ def test_closure_composes_linearly_in_the_order(monkeypatch):
     assert 0 < calls <= 2 * h.order * len(gens)
 
 
+def compose_images(a, b):
+    return tuple(a[x] for x in b)
+
+
+class LeftComposer(dict):
+    """``LeftComposer(a)[b]`` is a o b, computed when asked for."""
+
+    def __init__(self, a):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, b):
+        return compose_images(self.a, b)
+
+
+LIMITS = st.one_of(st.none(), st.integers(1, 130))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_greedy_closure_matches_reclosing_scan_on_permutations(data):
+    degree = data.draw(st.integers(1, 6), label="degree")
+    candidates = data.draw(st.lists(
+        st.permutations(range(degree)).map(tuple), max_size=8),
+        label="candidates")
+    limit = data.draw(LIMITS, label="limit")
+    ident = tuple(range(degree))
+    assert greedy_closure(candidates, ident, LeftComposer, limit) == \
+        reclosing_scan(candidates, ident, compose_images, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_greedy_closure_matches_reclosing_scan_on_tables(data):
+    g = data.draw(st.sampled_from(CORPUS), label="group")
+    candidates = data.draw(st.lists(st.integers(0, g.order - 1), max_size=8),
+                           label="candidates")
+    limit = data.draw(LIMITS, label="limit")
+    got = greedy_closure(candidates, g.identity, g.table.__getitem__, limit)
+    assert got == reclosing_scan(candidates, g.identity,
+                                 lambda a, b: g.table[a][b], limit)
+
+
+@pytest.mark.parametrize("g", CORPUS + [knn_actors(3).h],
+                         ids=lambda g: g.name or "?")
+def test_greedy_closure_multiplies_each_element_once_per_generator(g):
+    calls = 0
+
+    class CountingRow:
+        def __init__(self, s):
+            self.row = g.table[s]
+
+        def __getitem__(self, x):
+            nonlocal calls
+            calls += 1
+            return self.row[x]
+
+    kept, known = greedy_closure(range(g.order), g.identity, CountingRow)
+    assert len(known) == g.order
+    assert kept == minimal_generating_sequence(g)
+    assert calls <= g.order * (len(kept) + 1)
+
+
 def test_h3_and_its_wreath_model_pass_validate():
     knn_actors(3).h.validate()
     wreath_c2(dihedral(3)).validate()
@@ -292,14 +355,14 @@ def test_c4_is_dicyclic():
 
 
 def test_q8_c2n_recognition():
-    assert is_q8_times_c2n(quaternion())
+    assert q8_c2n_isomorphism(quaternion()) is not None
     g16 = direct_product(quaternion(), cyclic(2))
     iso = q8_c2n_isomorphism(g16)
     assert iso is not None
     assert iso.target.order == 16
-    assert not is_q8_times_c2n(dihedral(4))
-    assert not is_q8_times_c2n(generalized_dicyclic(cyclic(8), 4))
-    assert not is_q8_times_c2n(direct_product(quaternion(), cyclic(4)))
+    assert q8_c2n_isomorphism(dihedral(4)) is None
+    assert q8_c2n_isomorphism(generalized_dicyclic(cyclic(8), 4)) is None
+    assert q8_c2n_isomorphism(direct_product(quaternion(), cyclic(4))) is None
 
 
 def test_inverse_classes():

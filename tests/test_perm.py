@@ -1,6 +1,6 @@
 import pytest
 
-from ccakit.perm import Permutation, compose, identity, inverse
+from ccakit.perm import Permutation, compose
 
 
 def test_left_action_convention():
@@ -23,9 +23,8 @@ def test_rejects_non_bijections():
 def test_inverse_and_power():
     p = Permutation((2, 0, 3, 1))
     assert (p * p.inverse()).is_identity()
-    assert inverse(p) == p.inverse()
-    assert p ** 0 == identity(4)
-    assert p ** 4 == identity(4)  # p is a 4-cycle
+    assert p ** 0 == Permutation.identity(4)
+    assert p ** 4 == Permutation.identity(4)  # p is a 4-cycle
     assert p ** -1 == p.inverse()
     assert p ** 7 == p ** 3
 
@@ -43,7 +42,7 @@ def test_from_cycles():
 def test_cycles_canonical():
     p = Permutation((1, 0, 2, 4, 5, 3))
     assert p.cycles() == [(0, 1), (3, 4, 5)]
-    assert identity(4).cycles() == []
+    assert Permutation.identity(4).cycles() == []
 
 
 def test_ordering_and_hash():
