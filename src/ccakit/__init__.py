@@ -10,7 +10,6 @@ a group automorphism).  Graphs and groups where that holds are called CCA.
 from .perm import Permutation, compose
 from .groups import (
     FiniteGroup,
-    GroupElement,
     are_isomorphic,
     automorphisms,
     closure,

@@ -101,16 +101,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    return _execute(parser, args, shlex.join(argv), env={}, slug_prefix="",
-                    depth=0)
+    return _execute(parser, args, shlex.join(argv), env={}, slug_prefix="")
 
 
 def _execute(parser: _Parser, args, task_str: str, env: dict,
-             slug_prefix: str, depth: int) -> int:
+             slug_prefix: str) -> int:
     try:
         if args.emit != "json" and not args.out:
             raise _UsageError("--emit dot/both needs --out DIR")
-        return _dispatch(parser, args, task_str, env, slug_prefix, depth)
+        return _dispatch(parser, args, task_str, env, slug_prefix)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -135,10 +134,10 @@ def _execute(parser: _Parser, args, task_str: str, env: dict,
         return 3
 
 
-def _dispatch(parser, args, task_str, env, slug_prefix, depth) -> int:
+def _dispatch(parser, args, task_str, env, slug_prefix) -> int:
     cmd = args.command
     if cmd == "script":
-        return _cmd_script(parser, args, depth)
+        return _cmd_script(parser, args)
     if cmd == "census":
         return _cmd_census(args, task_str, slug_prefix)
     if cmd == "check-graph":
@@ -309,9 +308,7 @@ def _cmd_census(args, task_str: str, slug_prefix: str) -> int:
 
 # ---- script files ---------------------------------------------------------
 
-def _cmd_script(parser: _Parser, args, depth: int) -> int:
-    if depth > 0:
-        raise SpecElabError("script files cannot invoke script")
+def _cmd_script(parser: _Parser, args) -> int:
     text = Path(args.file).read_text()
     prog = lang.parse_program(text)
     env: dict[str, FiniteGroup] = {}
@@ -328,7 +325,7 @@ def _cmd_script(parser: _Parser, args, depth: int) -> int:
             print(f"error: line {task.line}: nested script", file=sys.stderr)
             return 1
         code = _execute(parser, sub_args, shlex.join(argv), env,
-                        slug_prefix=f"{k:02d}-", depth=depth + 1)
+                        slug_prefix=f"{k:02d}-")
         if code != 0:
             return code
     return 0

@@ -121,8 +121,6 @@ def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
 
     Elements come back canonically sorted by image tuple.
     """
-    if not is_connected(g):
-        raise ValueError("graph is not connected; search requires connectivity")
     t0 = time.perf_counter()
     images, nodes = kernels.search(g.vertex_count, g.colour_matrix(), roots)
     millis = (time.perf_counter() - t0) * 1000.0

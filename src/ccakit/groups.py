@@ -157,9 +157,6 @@ class FiniteGroup:
         return FiniteGroup([self.elements[g] for g in idx], table,
                            realization=realization)
 
-    def element(self, i: int) -> "GroupElement":
-        return GroupElement(self, i)
-
     def element_name(self, i: int) -> str:
         return self.elements[i]
 
@@ -193,34 +190,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
         return f"<{label} of order {self.order}>"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A single element, carried with its group for ergonomic call sites."""
-
-    group: FiniteGroup
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < self.group.order:
-            raise ValueError(f"index {self.index} outside the group")
-
-    @property
-    def name(self) -> str:
-        return self.group.elements[self.index]
-
-    @property
-    def order(self) -> int:
-        return self.group.element_order(self.index)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse[self.index])
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group is not self.group:
-            raise ValueError("elements of different groups")
-        return GroupElement(self.group, self.group.table[self.index][other.index])
 
 
 def greedy_closure(candidates, identity, row, limit: int | None = None):
@@ -363,26 +332,28 @@ def dihedral(n: int) -> FiniteGroup:
     """
     if n < 3:
         raise ValueError("dihedral needs n >= 3")
-    size = 2 * n
+    g = generalized_dihedral(cyclic(n))
+    g.name = f"D{2 * n}"
+    return g
 
-    def idx(a, b):
-        return a + n * b
 
-    table = [[0] * size for _ in range(size)]
-    for a1, b1, a2, b2 in iproduct(range(n), range(2), range(n), range(2)):
-        a = (a1 + a2) % n if b1 == 0 else (a1 - a2) % n
-        table[idx(a1, b1)][idx(a2, b2)] = idx(a, (b1 + b2) % 2)
-    names = [None] * size
-    for b in range(2):
-        for a in range(n):
-            rot = "e" if a == 0 else ("r" if a == 1 else f"r^{a}")
-            if b == 0:
-                names[idx(a, b)] = rot
-            else:
-                names[idx(a, b)] = "s" if a == 0 else f"{rot}*s"
-    return FiniteGroup(names, table,
-                       generators={"r": idx(1, 0), "s": idx(0, 1)},
-                       name=f"D{2 * n}")
+def _inverting_extension(a: FiniteGroup, y: int, t: str,
+                         name: str) -> FiniteGroup:
+    """Abelian A extended by t with t^2 = y and t^-1 z t = z^-1.
+
+    Element (z, b) = z*t^b sits at index z + |A|*b, named ``z*t`` when b = 1.
+    """
+    n = a.order
+    table = [row + [x + n for x in row] for row in a.table]
+    for row in a.table:
+        over = [row[w] for w in a.inverse]  # (z t) w = z w^-1 t
+        table.append([x + n for x in over] + [a.table[x][y] for x in over])
+    names = list(a.elements) + [
+        t if z == a.identity else f"{base}*{t}"
+        for z, base in enumerate(a.elements)]
+    gens = dict(a.generators)
+    gens[t] = a.identity + n
+    return FiniteGroup(names, table, generators=gens, name=name)
 
 
 def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
@@ -392,63 +363,22 @@ def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
     """
     if not a.is_abelian():
         raise ValueError("generalized dihedral needs an abelian group")
-    n = a.order
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for x, b, y, d in iproduct(range(n), range(2), range(n), range(2)):
-        yy = y if b == 0 else a.inverse[y]
-        table[x + n * b][y + n * d] = a.table[x][yy] + n * ((b + d) % 2)
-    names = [None] * size
-    for b in range(2):
-        for x in range(n):
-            base = a.elements[x]
-            if b == 0:
-                names[x + n * b] = base
-            else:
-                names[x + n * b] = "s" if x == a.identity else f"{base}*s"
-    gens = dict(a.generators)
-    gens["s"] = a.identity + n
-    return FiniteGroup(names, table, generators=gens,
-                       name=f"Dih({a.name or '?'})")
+    return _inverting_extension(a, a.identity, "s", f"Dih({a.name or '?'})")
 
 
-def generalized_dicyclic(a: FiniteGroup, y) -> FiniteGroup:
+def generalized_dicyclic(a: FiniteGroup, y: int) -> FiniteGroup:
     """Dic(A, y) = A plus x with x^2 = y and x^-1 a x = a^-1.
 
     A must be abelian of even order and y an involution of A.  Element
     (z, b) = z*x^b sits at index z + |A|*b.
     """
-    if isinstance(y, GroupElement):
-        if y.group is not a:
-            raise ValueError("y must live in the base group")
-        y = y.index
     if not a.is_abelian():
         raise ValueError("generalized dicyclic needs an abelian base")
     if a.order % 2 != 0:
         raise ValueError("base group must have even order")
     if y == a.identity or a.table[y][y] != a.identity:
         raise ValueError("y must be an involution of the base group")
-    n = a.order
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for z, b, w, d in iproduct(range(n), range(2), range(n), range(2)):
-        ww = w if b == 0 else a.inverse[w]
-        prod = a.table[z][ww]
-        if b == 1 and d == 1:
-            prod = a.table[prod][y]
-        table[z + n * b][w + n * d] = prod + n * ((b + d) % 2)
-    names = [None] * size
-    for b in range(2):
-        for z in range(n):
-            base = a.elements[z]
-            if b == 0:
-                names[z + n * b] = base
-            else:
-                names[z + n * b] = "x" if z == a.identity else f"{base}*x"
-    gens = dict(a.generators)
-    gens["x"] = a.identity + n
-    return FiniteGroup(names, table, generators=gens,
-                       name=f"Dic({a.name or '?'})")
+    return _inverting_extension(a, y, "x", f"Dic({a.name or '?'})")
 
 
 def quaternion() -> FiniteGroup:
@@ -577,10 +507,6 @@ class Isomorphism:
             inv[x] = i
         return Isomorphism(self.target, self.source, tuple(inv))
 
-    @property
-    def gen_images(self) -> dict[str, int]:
-        return {nm: self.images[i] for nm, i in self.source.generators.items()}
-
 
 def minimal_generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy generating sequence: scan indices, keep what grows the closure."""
@@ -588,58 +514,67 @@ def minimal_generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def extend_homomorphism(g: FiniteGroup, gens: list[int], images: list[int],
-                        h: FiniteGroup) -> list[int] | None:
-    """Extend gens -> images to a homomorphism G -> H, or None.
+def _extend_over(g: FiniteGroup, gens: list[int], images: list[int],
+                 h: FiniteGroup):
+    """Extend gens -> images breadth-first over the subgroup gens generate.
 
-    Fills values breadth-first from the identity and checks f(x*s) =
-    f(x)*f(s) for every element x and generator s, which pins down a
-    homomorphism whenever gens generate G.  Returns the full image list.
+    Checks f(x*s) = f(x)*f(s) for every element x reached and generator s,
+    which pins down a homomorphism on <gens> if one exists.  Returns
+    ``(f, reached)`` with f None outside <gens>, or None on a conflict.
     """
     f: list[int | None] = [None] * g.order
     f[g.identity] = h.identity
-    queue = [g.identity]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    reached = [g.identity]
+    for x in reached:  # also walks what it appends
         fx = f[x]
         for s, fs in zip(gens, images):
             y = g.table[x][s]
             fy = h.table[fx][fs]
             if f[y] is None:
                 f[y] = fy
-                queue.append(y)
+                reached.append(y)
             elif f[y] != fy:
                 return None
-    if len(queue) != g.order:
-        return None  # gens do not generate
-    return f  # type: ignore[return-value]
+    return f, reached
+
+
+def extend_homomorphism(g: FiniteGroup, gens: list[int], images: list[int],
+                        h: FiniteGroup) -> list[int] | None:
+    """Extend gens -> images to a homomorphism G -> H, or None.
+
+    None also when gens do not generate G.  Returns the full image list.
+    """
+    ext = _extend_over(g, gens, images, h)
+    if ext is None or len(ext[1]) != g.order:
+        return None
+    return ext[0]  # type: ignore[return-value]
 
 
 def _iso_candidates(g, h, gens):
-    """Backtracking generator-image search; yields full image maps."""
-    g_orders = [g.element_order(i) for i in range(g.order)]
-    h_orders = [h.element_order(i) for i in range(h.order)]
-    h_by_order: dict[int, list[int]] = {}
-    for i, o in enumerate(h_orders):
-        h_by_order.setdefault(o, []).append(i)
-    sub_sizes = []
-    for k in range(len(gens)):
-        sub_sizes.append(len(g.subgroup_closure(gens[:k + 1])))
+    """Backtracking generator-image search; yields full image maps.
 
+    gens must generate g.  Each choice of an image for gens[k] is kept only
+    when gens[:k+1] -> chosen extends to an injective homomorphism on the
+    subgroup gens[:k+1] generate, so every map yielded is an isomorphism
+    onto its image, in lexicographic order of the generator images.
+    """
+    g_orders = [g.element_order(i) for i in range(g.order)]
+    h_by_order: dict[int, list[int]] = {}
+    for i in range(h.order):
+        h_by_order.setdefault(h.element_order(i), []).append(i)
     chosen: list[int] = []
 
     def backtrack(k: int):
-        if k == len(gens):
-            f = extend_homomorphism(g, gens, chosen, h)
-            if f is not None and len(set(f)) == g.order:
-                yield tuple(f)
-            return
         for cand in h_by_order.get(g_orders[gens[k]], []):
             chosen.append(cand)
-            if len(h.subgroup_closure(chosen)) == sub_sizes[k]:
-                yield from backtrack(k + 1)
+            ext = _extend_over(g, gens[:k + 1], chosen, h)
+            if ext is not None:
+                f, reached = ext
+                if len({f[x] for x in reached}) == len(reached):
+                    if k + 1 == len(gens):
+                        yield tuple(f)
+                    else:
+                        yield from backtrack(k + 1)
             chosen.pop()
 
     yield from backtrack(0)
@@ -648,8 +583,8 @@ def _iso_candidates(g, h, gens):
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Isomorphism | None:
     """First isomorphism found in canonical search order, or None.
 
-    Prunes on the element-order profile up front and on partial subgroup
-    sizes during the generator-image backtracking.
+    Prunes on the element-order profile up front and on partial
+    homomorphisms during the generator-image backtracking.
     """
     if g.order != h.order:
         return None

@@ -15,10 +15,10 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from .errors import SpecElabError, SpecSyntaxError
-from .groups import (FiniteGroup, closure, cyclic, dihedral, direct_product,
-                     generalized_dicyclic, generalized_dihedral, quaternion,
-                     wreath_c2)
+from .errors import CapExceededError, SpecElabError, SpecSyntaxError
+from .groups import (FiniteGroup, closure, cyclic, default_cap, dihedral,
+                     direct_product, generalized_dicyclic,
+                     generalized_dihedral, quaternion, wreath_c2)
 from .perm import Permutation
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
@@ -427,21 +427,28 @@ def _at(pos: tuple[int, int], msg: str) -> SpecElabError:
     return SpecElabError(f"line {pos[0]}, column {pos[1]}: {msg}")
 
 
-def elaborate(e, env: dict[str, FiniteGroup] | None = None,
-              cap: int | None = None) -> FiniteGroup:
+def _within_cap(order: int) -> None:
+    cap = default_cap()
+    if order > cap:
+        raise CapExceededError(f"order {order} exceeds cap {cap}")
+
+
+def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
     """Build the group an expression denotes.
 
-    ``env`` provides declared names; ``cap`` bounds constructed orders and
-    defaults to the module-wide cap.  Structural misuse (Dih of a
-    non-abelian group, a bad Dic involution) raises SpecElabError carrying
-    the source position; cap overruns raise CapExceededError untouched.
+    ``env`` provides declared names.  Every constructed order is checked
+    against ``default_cap()`` before its table is built; overruns raise
+    CapExceededError.  Structural misuse (Dih of a non-abelian group, a bad
+    Dic involution) raises SpecElabError carrying the source position.
     """
     env = env or {}
     if isinstance(e, ECyclic):
         if e.n < 1:
             raise _at(e.pos, "C(n) needs n >= 1")
+        _within_cap(e.n)
         return cyclic(e.n)
     if isinstance(e, EDihedral):
+        _within_cap(2 * e.n)
         try:
             return dihedral(e.n)
         except ValueError as exc:
@@ -449,25 +456,27 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None,
     if isinstance(e, EQ8):
         return quaternion()
     if isinstance(e, EDih):
-        inner = elaborate(e.inner, env, cap)
+        inner = elaborate(e.inner, env)
+        _within_cap(2 * inner.order)
         try:
             return generalized_dihedral(inner)
         except ValueError as exc:
             raise _at(e.pos, str(exc)) from None
     if isinstance(e, EDic):
-        inner = elaborate(e.inner, env, cap)
+        inner = elaborate(e.inner, env)
         y = evaluate_word(e.word, inner)
+        _within_cap(2 * inner.order)
         try:
             return generalized_dicyclic(inner, y)
         except ValueError as exc:
             raise _at(e.pos, str(exc)) from None
     if isinstance(e, EProduct):
-        left = elaborate(e.left, env, cap)
-        right = elaborate(e.right, env, cap)
-        return direct_product(left, right, cap=cap)
+        left = elaborate(e.left, env)
+        right = elaborate(e.right, env)
+        return direct_product(left, right)
     if isinstance(e, EWreath):
-        inner = elaborate(e.inner, env, cap)
-        return wreath_c2(inner, cap=cap)
+        inner = elaborate(e.inner, env)
+        return wreath_c2(inner)
     if isinstance(e, EPerms):
         degree = 0
         for cycles in e.gens:
@@ -481,7 +490,7 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None,
                 perms.append(Permutation.from_cycles(degree, cycles))
             except ValueError as exc:
                 raise _at(e.pos, str(exc)) from None
-        return closure(perms, cap=cap)
+        return closure(perms)
     if isinstance(e, ERef):
         if e.name not in env:
             raise _at(e.pos, f"unknown name {e.name!r}")

@@ -8,8 +8,11 @@ group, which the decision from the stabilizer of vertex 0 must agree with;
 ``closure_by_products`` builds a group table from all |G|^2 permutation
 products, which ``groups.closure`` must reproduce; ``reclosing_scan`` closes
 from scratch after every pick, which ``groups.greedy_closure`` must match;
-and ``min_walk_verdict`` keeps one connection set per Aut(G) orbit by a
-``min`` over every automorphism, which ``engine.is_cca_group`` must match.
+``min_walk_verdict`` keeps one connection set per Aut(G) orbit by a
+``min`` over every automorphism, which ``engine.is_cca_group`` must match;
+and ``reclosing_iso_candidates`` vets each generator image by re-closing
+the images chosen so far and extends a homomorphism only at the leaf, which
+the isomorphism search in ``groups`` must match map for map.
 """
 
 from itertools import combinations, permutations
@@ -19,7 +22,8 @@ from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
                            is_affine, is_cca_graph)
 from ccakit.errors import CapExceededError
 from ccakit.graphs import cayley_graph
-from ccakit.groups import _format_word, automorphisms, inverse_classes
+from ccakit.groups import (_format_word, automorphisms, extend_homomorphism,
+                           inverse_classes)
 from ccakit.perm import Permutation
 
 
@@ -166,6 +170,38 @@ def reclosing_scan(candidates, identity, mul, limit=None):
             if known is None:
                 return kept, None
     return kept, known
+
+
+def reclosing_iso_candidates(g, h, gens):
+    """Injective maps g -> h from generator images, in search order.
+
+    ``gens`` must generate g.  Tries the images of gens[k] over the
+    elements of h of the same order, keeps a choice when the images chosen
+    so far close to a subgroup of h as large as the one gens[:k+1] close
+    to in g, and at the leaf extends the choice to a homomorphism and keeps
+    it when it is a bijection.  Yields image tuples.
+    """
+    g_orders = [g.element_order(i) for i in range(g.order)]
+    h_by_order = {}
+    for i in range(h.order):
+        h_by_order.setdefault(h.element_order(i), []).append(i)
+    sub_sizes = [len(g.subgroup_closure(gens[:k + 1]))
+                 for k in range(len(gens))]
+    chosen = []
+
+    def backtrack(k):
+        if k == len(gens):
+            f = extend_homomorphism(g, gens, chosen, h)
+            if f is not None and len(set(f)) == g.order:
+                yield tuple(f)
+            return
+        for cand in h_by_order.get(g_orders[gens[k]], []):
+            chosen.append(cand)
+            if len(h.subgroup_closure(chosen)) == sub_sizes[k]:
+                yield from backtrack(k + 1)
+            chosen.pop()
+
+    yield from backtrack(0)
 
 
 def min_walk_verdict(g, cap):

@@ -95,6 +95,16 @@ def test_cap_handling(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("expr", ["C(17)", "D(9)", "Dih(C(9))",
+                                  "Dic(C(10), r^5)"])
+def test_order_cap_holds_for_every_head(capsys, monkeypatch, expr):
+    monkeypatch.setenv("CCA_MAX_ORDER", "16")
+    d = run_json(capsys, "check-group", expr)
+    assert d["verdict"]["kind"] == "unknown-cap"
+    assert d["verdict"]["checks"][0]["detail"].endswith("exceeds cap 16")
+    assert run(capsys, "check-group", expr, "--strict")[0] == 2
+
+
 def test_seedless_is_byte_deterministic(capsys):
     _, first, _ = run(capsys, "witness-thm31", "--n", "3", "--seedless")
     _, second, _ = run(capsys, "witness-thm31", "--n", "3", "--seedless")

@@ -13,13 +13,15 @@ from ccakit.engine import (VerdictKind, arc_lift_harness,
                            is_colour_preserving, is_complete_colour_pair,
                            local_action, replay_witness)
 from ccakit.graphs import ColouredGraph, cayley_graph, complete_colour_graph
-from ccakit.groups import (closure, cyclic, dihedral, direct_product,
-                           inverse_classes, left_regular, quaternion)
+from ccakit.groups import (automorphisms, closure, cyclic, dihedral,
+                           direct_product, inverse_classes, left_regular,
+                           minimal_generating_sequence, quaternion)
 from ccakit.perm import Permutation
 from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
-                        edge_dict, full_route_verdict, min_walk_verdict)
+                        edge_dict, full_route_verdict, min_walk_verdict,
+                        reclosing_iso_candidates)
 
 
 def dih_closure(g):
@@ -136,6 +138,16 @@ def test_is_cca_graph_matches_full_route(expr):
             assert [(c.name, c.passed, c.detail) for c in v.checks] == checks
             graphs += 1
     assert graphs > 0
+
+
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS + ["Q8 x C(2)"])
+def test_automorphisms_match_reclosing_search(expr):
+    """Aut(G) lists the reference search's maps in its order, which fixes
+    the orbit walk's order and the witnesses it finds."""
+    g = elaborate(parse_expr(expr), {})
+    gens = minimal_generating_sequence(g)
+    assert [a.images for a in automorphisms(g)] == \
+        list(reclosing_iso_candidates(g, g, gens))
 
 
 def test_is_cca_group_small():

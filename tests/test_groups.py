@@ -5,6 +5,8 @@ naive loops over the multiplication table, never against the methods under
 test.
 """
 
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,8 @@ from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            quaternion, recognize_dicyclic, wreath_c2)
 from ccakit.perm import Permutation
 
-from bruteforce import closure_by_products, reclosing_scan
+from bruteforce import (brute_automorphisms, closure_by_products,
+                        reclosing_iso_candidates, reclosing_scan)
 
 
 def naive_element_order(table, i):
@@ -74,6 +77,37 @@ def test_generalized_dihedral_c4():
     assert are_isomorphic(g, dihedral(4)) is not None
     with pytest.raises(ValueError):
         generalized_dihedral(dihedral(3))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_dihedral_layout(n):
+    """r^a s^b sits at index a + n*b, and D(n) is Dih(C(n)) renamed."""
+    g = dihedral(n)
+    for a1, b1, a2, b2 in iproduct(range(n), range(2), range(n), range(2)):
+        a = (a1 + a2) % n if b1 == 0 else (a1 - a2) % n
+        assert g.table[a1 + n * b1][a2 + n * b2] == a + n * ((b1 + b2) % 2)
+    rot = ["e", "r"] + [f"r^{a}" for a in range(2, n)]
+    assert g.elements == rot + ["s"] + [f"{x}*s" for x in rot[1:]]
+    assert g.generators == {"r": 1, "s": n}
+    d = generalized_dihedral(cyclic(n))
+    assert (g.elements, g.table, g.generators) == \
+        (d.elements, d.table, d.generators)
+    assert (g.name, d.name) == (f"D{2 * n}", f"Dih(C{n})")
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_dicyclic_layout(m):
+    """Dic(C(2m), r^m): z*x^b sits at index z + 2m*b, x^2 = r^m and
+    x^-1 r x = r^-1."""
+    n = 2 * m
+    g = generalized_dicyclic(cyclic(n), m)
+    for z1, b1, z2, b2 in iproduct(range(n), range(2), range(n), range(2)):
+        z = z1 + (z2 if b1 == 0 else -z2) + (m if b1 and b2 else 0)
+        assert g.table[z1 + n * b1][z2 + n * b2] == z % n + n * ((b1 + b2) % 2)
+    rot = ["e", "r"] + [f"r^{a}" for a in range(2, n)]
+    assert g.elements == rot + ["x"] + [f"{x}*x" for x in rot[1:]]
+    assert g.generators == {"r": 1, "x": n}
+    assert g.name == f"Dic(C{n})"
 
 
 def test_generalized_dicyclic_c6():
@@ -328,6 +362,14 @@ def test_automorphism_counts():
     assert automorphisms(quaternion(), limit=10) is None
 
 
+@pytest.mark.parametrize("g", [g for g in CORPUS if g.order <= 8],
+                         ids=lambda g: g.name or "?")
+def test_automorphisms_match_bruteforce(g):
+    auts = [a.images for a in automorphisms(g)]
+    assert len(set(auts)) == len(auts)
+    assert set(auts) == brute_automorphisms(g.table)
+
+
 def test_recognize_dicyclic_matches_isomorphism_search():
     """recognize_dicyclic agrees with brute isomorphism search against all
     Dic(A, y) built from the complete list of abelian groups up to order 8."""
@@ -363,6 +405,24 @@ def test_q8_c2n_recognition():
     assert q8_c2n_isomorphism(dihedral(4)) is None
     assert q8_c2n_isomorphism(generalized_dicyclic(cyclic(8), 4)) is None
     assert q8_c2n_isomorphism(direct_product(quaternion(), cyclic(4))) is None
+
+
+def test_q8_c2n_isomorphism_matches_reclosing_search():
+    """The pair witness is built on the first map the search finds."""
+    dic8 = generalized_dicyclic(cyclic(4), 2)
+    groups = [quaternion(), dic8, direct_product(quaternion(), cyclic(2)),
+              direct_product(dic8, cyclic(2)),
+              direct_product(direct_product(quaternion(), cyclic(2)),
+                             cyclic(2)),
+              dihedral(4), direct_product(dihedral(4), cyclic(2))]
+    for g in groups:
+        target = quaternion()
+        while target.order < g.order:
+            target = direct_product(target, cyclic(2))
+        first = next(reclosing_iso_candidates(
+            g, target, minimal_generating_sequence(g)), None)
+        iso = q8_c2n_isomorphism(g)
+        assert (None if iso is None else iso.images) == first, g.name
 
 
 def test_inverse_classes():
