@@ -1,0 +1,56 @@
+"""Pinned bytes of ``--seedless`` reports.
+
+Each task's stdout (and, for the witness task, the ``--out`` JSON and DOT
+files) must hash to the digest recorded here.  The digests were taken from
+the verdict path as it stood before the table-driven search replaced the
+colour-matrix one; they are never regenerated from the code under test, so
+any change to a verdict, a witness, a check narrative or ``stats.nodes``
+shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from ccakit.cli import main
+
+GOLDEN = [
+    (("census", "--orders", "4..12"),
+     "4183e5f161492eabddd28ae25709837c31fd9042669fe1c157e7ae6716755832", {}),
+    (("check-group", "Dic(C(12), r^6)"),
+     "a5859d302d713401f689c38f45fefe7d62b5d185bd5535a9a5932161e31de84d", {}),
+    (("check-group", "C(4) x C(4)"),
+     "d7d29604120e76f38ca07f66b8421ed06ed8a2c3baa817c0f5b0fda9f79cf82d", {}),
+    (("pair", "Q8 x C(2)", "Q8 x C(2)"),
+     "59ef87558e3eb69b7a60a83fb50d5f44f22d397aae4e4f45f70539fb77842594", {}),
+    (("witness-thm31", "--n", "5", "--emit", "both"),
+     "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba",
+     {"witness-thm31-5.json":
+      "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba",
+      "witness-thm31-5.dot":
+      "b9a7189bdfad00d757d1972c8901c192ceac489b97a6871a086137e1e5986f5e"}),
+    (("witness-prop33", "--n", "3"),
+     "44169b20731b82073f99246ad8c92053fa9f97ac623b8c55b212097c3eb4be25", {}),
+    (("harness-4-10", "--n", "3"),
+     "5bbf959e564d437ef7892f281ea7a9e9b8b155663fdbdcc187b37b174c369b68", {}),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv, stdout_digest, files", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_seedless_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv,
+                                   stdout_digest, files):
+    # the task string echoes argv, so --out must name the same path each time
+    monkeypatch.chdir(tmp_path)
+    extra = ["--out", "out"] if files else []
+    code = main([*argv, "--seedless", *extra])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha(out.encode()) == stdout_digest
+    written = {p.name: _sha(p.read_bytes())
+               for p in (tmp_path / "out").iterdir()} if files else {}
+    assert written == files
