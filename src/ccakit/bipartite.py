@@ -180,11 +180,11 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
 
     labeling, cg, _ = knn_cayley_form(actors)
     checks.append(Check("cayley-form", True,
-                        f"{cg.graph.vertex_count} vertices, connection "
+                        f"{cg.vertex_count} vertices, connection "
                         "{tau} u {rho2^k}"))
 
     witness = induced_vertex_map(actors.sigma2, labeling)
-    if not is_colour_preserving(cg.graph, witness):
+    if not is_colour_preserving(cg, witness):
         raise PipelineError("witness", "transported sigma2 broke a colour")
     checks.append(Check("witness-colour-preserving", True, ""))
 
@@ -207,7 +207,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
 
     conn_names = [actors.g.elements[c] for c in cg.connection]
     return Verdict(VerdictKind.NON_CCA, checks, witness=witness, context=cg,
-                   data={"n": n, "vertices": cg.graph.vertex_count,
+                   data={"n": n, "vertices": cg.vertex_count,
                          "connection": conn_names})
 
 
@@ -384,14 +384,14 @@ def double_dihedral_witness(n: int) -> Verdict:
                   | {bmap[(actors.rho2 ** k).images] for k in range(1, n)})
     cg = cayley_graph(dd.group, conn)
     checks.append(Check("graph", True,
-                        f"{cg.graph.vertex_count} vertices, "
+                        f"{cg.vertex_count} vertices, "
                         f"{len(conn)} connection elements"))
 
     phi = dd.phi()
     checks.append(Check("phi-two-routes", True,
                         "exponent route equals transport route"))
 
-    if not is_colour_preserving(cg.graph, phi):
+    if not is_colour_preserving(cg, phi):
         raise PipelineError("witness", "phi broke a colour")
     checks.append(Check("witness-colour-preserving", True, ""))
 
@@ -412,5 +412,5 @@ def double_dihedral_witness(n: int) -> Verdict:
 
     conn_names = [dd.group.elements[c] for c in conn]
     return Verdict(VerdictKind.NON_CCA, checks, witness=phi, context=cg,
-                   data={"n": n, "vertices": cg.graph.vertex_count,
+                   data={"n": n, "vertices": cg.vertex_count,
                          "connection": conn_names})

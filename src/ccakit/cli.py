@@ -122,7 +122,7 @@ def _execute(parser: _Parser, args, task_str: str, env: dict,
             return 2
         v = Verdict(VerdictKind.UNKNOWN_CAP, [Check("cap", False, str(exc))])
         try:
-            return _finish(args, task_str, slug_prefix, v, None)
+            return _finish(args, task_str, slug_prefix, v)
         except ValueError as inner:
             print(f"error: {inner}", file=sys.stderr)
             return 1
@@ -165,8 +165,7 @@ def _dispatch(parser, args, task_str, env, slug_prefix) -> int:
                              base_arc=actors.base_arc)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise _UsageError(f"unknown command {cmd!r}")
-    graph = v.context.graph if isinstance(v.context, CayleyColouredGraph) else None
-    return _finish(args, task_str, slug_prefix, v, graph)
+    return _finish(args, task_str, slug_prefix, v)
 
 
 def _need_odd(n: int) -> None:
@@ -209,8 +208,7 @@ def _task_slug(args) -> str:
     return rep.slugify(" ".join(parts))
 
 
-def _finish(args, task_str: str, slug_prefix: str, v: Verdict,
-            graph) -> int:
+def _finish(args, task_str: str, slug_prefix: str, v: Verdict) -> int:
     rep.confirm_witness(v, note=args.verify)
     payload = rep.build_report(task_str, v, seedless=args.seedless)
     text = rep.to_json(payload)
@@ -218,8 +216,9 @@ def _finish(args, task_str: str, slug_prefix: str, v: Verdict,
     if args.out:
         slug = slug_prefix + _task_slug(args)
         dot_text = None
-        if args.emit in ("dot", "both") and graph is not None:
-            dot_text = rep.render_dot(graph, slug)
+        if args.emit in ("dot", "both") and isinstance(
+                v.context, CayleyColouredGraph):
+            dot_text = rep.render_dot(v.context.graph, slug)
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
     if v.kind is VerdictKind.UNKNOWN_CAP and args.strict:
         return 2

@@ -74,7 +74,7 @@ class AutGroupResult:
     """A group of colour-preserving automorphisms of one graph, listed in
     full: the whole colour-preserving group, or the stabilizer of vertex 0."""
 
-    graph: ColouredGraph
+    graph: ColouredGraph | CayleyColouredGraph
     elements: list[Permutation]
     generators: list[Permutation]
     stats: SearchStats
@@ -87,20 +87,14 @@ class AutGroupResult:
         return frozenset(p.images for p in self.elements)
 
 
-def is_colour_preserving(g: ColouredGraph, p: Permutation) -> bool:
-    """Does p map edges to edges of the same colour and non-edges off edges?"""
+def is_colour_preserving(g: ColouredGraph | CayleyColouredGraph,
+                         p: Permutation) -> bool:
+    """Does p map every edge to an edge of the same colour (and so every
+    non-edge to a non-edge)?"""
     n = g.vertex_count
     if p.degree != n:
         raise ValueError(f"degree {p.degree} does not match |V| = {n}")
-    m = g.colour_matrix()
-    imgs = p.images
-    for u in range(n):
-        ub = u * n
-        iub = imgs[u] * n
-        for v in range(u + 1, n):
-            if m[ub + v] != m[iub + imgs[v]]:
-                return False
-    return True
+    return kernels.preserves(g.adjacency, g.pair_colours, p.images)
 
 
 class _After:
@@ -115,14 +109,11 @@ class _After:
         return tuple(map(self.get, b))
 
 
-def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
-    """The colour-preserving automorphisms sending vertex 0 into ``roots``,
-    which must form a group, with a greedy generating subset.
-
-    Elements come back canonically sorted by image tuple.
-    """
+def _searched_group(g: ColouredGraph | CayleyColouredGraph, roots):
+    """The colour-preserving maps sending vertex 0 into ``roots``, which must
+    form a group: (sorted image tuples, greedy generators, search stats)."""
     t0 = time.perf_counter()
-    images, nodes = kernels.search(g.vertex_count, g.colour_matrix(), roots)
+    images, nodes = kernels.search(g.adjacency, g.pair_colours, roots)
     millis = (time.perf_counter() - t0) * 1000.0
     kept, known = greedy_closure(images, tuple(range(g.vertex_count)),
                                  _After, limit=len(images))
@@ -132,18 +123,19 @@ def _searched_group(g: ColouredGraph, roots) -> AutGroupResult:
         raise InternalInconsistencyError(
             f"generator reconstruction found {got} elements, "
             f"search found {len(images)}")
-    return AutGroupResult(g, [Permutation(t) for t in images],
-                          [Permutation(t) for t in kept],
-                          SearchStats(nodes=nodes, millis=millis))
+    return images, kept, SearchStats(nodes=nodes, millis=millis)
 
 
-def colour_preserving_automorphisms(g: ColouredGraph) -> AutGroupResult:
+def colour_preserving_automorphisms(g: ColouredGraph | CayleyColouredGraph
+                                    ) -> AutGroupResult:
     """Backtracking search for every colour-preserving automorphism.
 
     Requires a connected graph.  Elements come back canonically sorted by
     image tuple; generators are a greedy generating subset.
     """
-    return _searched_group(g, range(g.vertex_count))
+    images, kept, stats = _searched_group(g, range(g.vertex_count))
+    return AutGroupResult(g, [Permutation(t) for t in images],
+                          [Permutation(t) for t in kept], stats)
 
 
 @dataclass(frozen=True)
@@ -158,52 +150,43 @@ def is_affine(cg: CayleyColouredGraph, p: Permutation
               ) -> tuple[bool, AffineDecomposition | None]:
     """Decide whether p is a translation composed with a group automorphism.
 
-    Computed twice: by splitting off the translation and testing the rest
-    for multiplicativity, and by conjugating every left translation through
-    p and testing membership in the translations.  The two answers must
-    agree; disagreement raises, since it would mean a bug.
+    Computed twice, over a generating set T of the group: by splitting off
+    the translation and testing the rest, alpha, for alpha(g*t) =
+    alpha(g)*alpha(t), and by testing p o lambda(t) o p^-1 for a left
+    translation.  Generators suffice, by induction on word length for the
+    first and because conjugation by p is a homomorphism for the second.
+    The two answers must agree; disagreement raises, since it would mean a
+    bug.
     """
-    g = cg.group
-    n = g.order
+    n = cg.group.order
     if p.degree != n:
         raise ValueError(f"degree {p.degree} does not match group order {n}")
-    table = g.table
-    imgs = p.images
+    alpha = _untranslated(cg, p.images)
+    if alpha is None:
+        return False, None
+    return True, AffineDecomposition(p.images[cg.group.identity],
+                                     Permutation(alpha))
 
-    # route one: peel the translation, check the remainder is multiplicative
-    g0 = imgs[g.identity]
-    g0inv_row = table[g.inverse[g0]]
-    alpha = [g0inv_row[imgs[i]] for i in range(n)]
-    by_decomposition = True
-    for i in range(n):
-        ti = table[i]
-        ai = alpha[i]
-        for j in range(n):
-            if alpha[ti[j]] != table[ai][alpha[j]]:
-                by_decomposition = False
-                break
-        if not by_decomposition:
-            break
 
-    # route two: p must normalize the set of left translations
-    pinv = [0] * n
+def _untranslated(cg: CayleyColouredGraph, imgs) -> list[int] | None:
+    """``is_affine`` on an image tuple: the automorphism part, or None."""
+    g, table, gens = cg.group, cg.group.table, cg.generating_set
+    # route one: peel the translation, check the remainder on generators
+    g0inv_row = table[g.inverse[imgs[g.identity]]]
+    alpha = [g0inv_row[x] for x in imgs]
+    by_decomposition = all(alpha[table[i][t]] == table[a][alpha[t]]
+                           for t in gens for i, a in enumerate(alpha))
+    # route two: p must conjugate each generating translation to one
+    pinv = [0] * len(imgs)
     for i, x in enumerate(imgs):
         pinv[x] = i
-    by_normalizer = True
-    for a in range(n):
-        ta = table[a]
-        conj = [imgs[ta[pinv[j]]] for j in range(n)]
-        if conj != table[conj[g.identity]]:
-            by_normalizer = False
-            break
-
+    by_normalizer = all(conj == table[conj[g.identity]] for conj in (
+        [imgs[table[t][i]] for i in pinv] for t in gens))
     if by_decomposition != by_normalizer:
         raise InternalInconsistencyError(
             "affinity routes disagree: decomposition says "
             f"{by_decomposition}, normalizer says {by_normalizer}")
-    if not by_decomposition:
-        return False, None
-    return True, AffineDecomposition(g0, Permutation(alpha))
+    return alpha if by_decomposition else None
 
 
 def _left_translation_set(g: FiniteGroup) -> frozenset[tuple[int, ...]]:
@@ -225,27 +208,25 @@ def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
     """
     g = cg.group
     checks: list[Check] = []
-    stab = _searched_group(cg.graph, (0,))
-    order = g.order * stab.order
+    stab, _, stats = _searched_group(cg, (0,))
+    order = g.order * len(stab)
     checks.append(Check("search", True,
                         f"{order} colour-preserving automorphisms"))
-    # the connection set generates G and translation by c^-1 undoes
-    # translation by c, so one element per colour class suffices
-    for c in cg.colour_classes():
-        if not is_colour_preserving(cg.graph, Permutation(tuple(g.table[c]))):
+    # colour-preserving maps compose, so translations by generators suffice
+    for t in cg.generating_set:
+        if not kernels.preserves(cg.adjacency, cg.pair_colours, g.table[t]):
             raise InternalInconsistencyError(
                 "a left translation does not preserve colours")
     checks.append(Check("translations-present", True,
                         f"all {g.order} left translations found"))
 
     witness = None
-    for p in stab.elements:
-        affine, dec = is_affine(cg, p)
-        if not affine:
+    for imgs in stab:
+        alpha = _untranslated(cg, imgs)
+        if alpha is None:
             if witness is None:
-                witness = p
+                witness = Permutation(imgs)
             continue
-        alpha = dec.automorphism.images
         for c in cg.connection:
             if alpha[c] not in (c, g.inverse[c]):
                 raise InternalInconsistencyError(
@@ -257,11 +238,11 @@ def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
     if witness is None:
         checks.append(Check("all-affine", True,
                             f"all {order} automorphisms affine"))
-        return Verdict(VerdictKind.CCA, checks, context=cg, stats=stab.stats)
+        return Verdict(VerdictKind.CCA, checks, context=cg, stats=stats)
     checks.append(Check("all-affine", False,
                         "non-affine colour-preserving automorphism found"))
     return Verdict(VerdictKind.NON_CCA, checks, witness=witness, context=cg,
-                   stats=stab.stats)
+                   stats=stats)
 
 
 _ENUM_CAP = 1 << 16  # Aut(G) listing limit, and the default cap
@@ -389,7 +370,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                         f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    aut = colour_preserving_automorphisms(kg.graph)
+    aut = colour_preserving_automorphisms(kg)
     a0 = aut.element_set()
     checks.append(Check("colour-group-computed", True,
                         f"order {len(a0)} on the complete colour graph"))
@@ -485,9 +466,7 @@ def is_arc_regular(g: ColouredGraph, grp: FiniteGroup) -> bool:
                 raise ValueError(
                     f"element {grp.elements[i]} is not a graph automorphism")
     arc_count = 2 * len(edges)
-    if grp.order != arc_count:
-        return False
-    if not edges:
+    if grp.order != arc_count or not edges:
         return False
     base = (edges[0][0], edges[0][1])
     orbit = {(p.images[base[0]], p.images[base[1]]) for p in grp.realization}
@@ -593,7 +572,7 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     bad = 0
     for p in h.realization:
         t = induced_vertex_map(p, labeling)
-        if not is_colour_preserving(cg.graph, t):
+        if not is_colour_preserving(cg, t):
             bad += 1
     if bad:
         raise InternalInconsistencyError(
@@ -616,7 +595,7 @@ def replay_witness(v: Verdict) -> bool:
     if not isinstance(v.context, CayleyColouredGraph):
         raise ValueError("verdict carries no graph to replay against")
     cg = v.context
-    if v.witness.degree != cg.graph.vertex_count:
+    if v.witness.degree != cg.vertex_count:
         raise ValueError("witness degree does not match the stored graph")
     if v.kind is VerdictKind.NON_CCA:
         if not is_colour_preserving(cg.graph, v.witness):

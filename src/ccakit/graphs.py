@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
-from .groups import FiniteGroup
+from . import kernels
+from .groups import FiniteGroup, greedy_closure
 
 
 class Arc(NamedTuple):
@@ -16,12 +19,9 @@ class Arc(NamedTuple):
 class ColouredGraph:
     """A finite simple graph with a colour id on every edge.
 
-    Instances are immutable by convention; derived structures (adjacency,
-    the flattened colour matrix) are cached on first use.
+    Instances are immutable by convention; the adjacency lists and the pair
+    lookup that the search reads are cached on first use.
     """
-
-    __slots__ = ("vertex_count", "_colour", "colour_names", "vertex_names",
-                 "_matrix", "_adj")
 
     def __init__(self, vertex_count: int, edge_colours, colour_names=None,
                  vertex_names=None):
@@ -47,8 +47,6 @@ class ColouredGraph:
             if len(vertex_names) != vertex_count:
                 raise ValueError("one name per vertex, please")
         self.vertex_names = vertex_names
-        self._matrix = None
-        self._adj = None
 
     @property
     def edge_count(self) -> int:
@@ -66,28 +64,26 @@ class ColouredGraph:
     def colours_used(self) -> list[int]:
         return sorted(set(self._colour.values()))
 
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """``adjacency[v]``: the (neighbour, colour) pairs at v, ascending."""
+        adj = [[] for _ in range(self.vertex_count)]
+        for (a, b), cid in self._colour.items():
+            adj[a].append((b, cid))
+            adj[b].append((a, cid))
+        for pairs in adj:
+            pairs.sort()
+        return adj
+
+    @cached_property
+    def pair_colours(self) -> list[int]:
+        return kernels.pair_colours(self.adjacency)
+
     def neighbours(self, v: int) -> tuple[int, ...]:
-        if self._adj is None:
-            adj = [[] for _ in range(self.vertex_count)]
-            for (a, b) in sorted(self._colour):
-                adj[a].append(b)
-                adj[b].append(a)
-            self._adj = tuple(tuple(sorted(nb)) for nb in adj)
-        return self._adj[v]
+        return tuple(x for x, _ in self.adjacency[v])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbours(v))
-
-    def colour_matrix(self) -> list[int]:
-        """Flattened n*n matrix: colour id for edges, -1 elsewhere."""
-        if self._matrix is None:
-            n = self.vertex_count
-            m = [-1] * (n * n)
-            for (u, v), cid in self._colour.items():
-                m[u * n + v] = cid
-                m[v * n + u] = cid
-            self._matrix = m
-        return self._matrix
+        return len(self.adjacency[v])
 
     def vertex_label(self, v: int) -> str:
         if self.vertex_names is not None:
@@ -106,21 +102,54 @@ class ColouredGraph:
 class CayleyColouredGraph:
     """A Cayley graph with its natural inverse-pair colouring.
 
-    ``connection`` holds element indices, sorted; the underlying graph joins
-    g to g*c and colours the edge by min(index(c), index(c^-1)).
+    ``connection`` holds element indices, sorted; the graph joins g to g*c
+    and colours the edge by min(index(c), index(c^-1)).  The rest is read
+    off the group table on first use: the search's adjacency lists, a
+    generating set, and the named ``graph`` for reports and replay.
     """
 
     group: FiniteGroup
     connection: tuple[int, ...]
-    graph: ColouredGraph
 
-    def colour_classes(self) -> dict[int, tuple[int, ...]]:
-        """colour id -> the {c, c^-1} pair it stands for."""
-        out: dict[int, tuple[int, ...]] = {}
+    @property
+    def vertex_count(self) -> int:
+        return self.group.order
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """``adjacency[g]``: the pairs (g*c, colour of c), c in the
+        connection set, ascending."""
+        conn, inv = self.connection, self.group.inverse
+        cids = [min(c, inv[c]) for c in conn]
+        return [sorted(zip(map(row.__getitem__, conn), cids))
+                for row in self.group.table]
+
+    @cached_property
+    def pair_colours(self) -> list[int]:
+        return kernels.pair_colours(self.adjacency)
+
+    @cached_property
+    def generating_set(self) -> list[int]:
+        """Greedy generators of the connection set, topped up from the
+        whole group when it does not generate."""
+        g = self.group
+        kept, _ = greedy_closure(chain(self.connection, range(g.order)),
+                                 g.identity, g.table.__getitem__)
+        return kept
+
+    @cached_property
+    def graph(self) -> ColouredGraph:
+        g, inv = self.group, self.group.inverse
+        names = {c: "{%s}" % ",".join(
+                     g.elements[x] for x in sorted({c, inv[c]}))
+                 for c in self.connection if c <= inv[c]}
+        edge_colours = {}
         for c in self.connection:
-            cid = min(c, self.group.inverse[c])
-            out.setdefault(cid, tuple(sorted({c, self.group.inverse[c]})))
-        return out
+            for i, row in enumerate(g.table):
+                j = row[c]
+                edge_colours[(i, j) if i < j else (j, i)] = min(c, inv[c])
+        return ColouredGraph(g.order, edge_colours, names,
+                             vertex_names=g.elements)
 
 
 def cayley_graph(g: FiniteGroup, connection) -> CayleyColouredGraph:
@@ -138,23 +167,7 @@ def cayley_graph(g: FiniteGroup, connection) -> CayleyColouredGraph:
         raise ValueError(
             f"connection set is not inverse-closed (missing inverses of "
             f"{names}); add them explicitly")
-    edge_colours = {}
-    colour_names = {}
-    for c in conn:
-        cinv = g.inverse[c]
-        cid = min(c, cinv)
-        if cid == c:
-            if c == cinv:
-                colour_names[cid] = "{%s}" % g.elements[c]
-            else:
-                colour_names[cid] = "{%s,%s}" % (g.elements[c], g.elements[cinv])
-        for i in range(g.order):
-            j = g.table[i][c]
-            key = (i, j) if i < j else (j, i)
-            edge_colours[key] = cid
-    graph = ColouredGraph(g.order, edge_colours, colour_names,
-                          vertex_names=list(g.elements))
-    return CayleyColouredGraph(g, tuple(conn), graph)
+    return CayleyColouredGraph(g, tuple(conn))
 
 
 def complete_colour_graph(g: FiniteGroup) -> CayleyColouredGraph:

@@ -157,9 +157,6 @@ class FiniteGroup:
         return FiniteGroup([self.elements[g] for g in idx], table,
                            realization=realization)
 
-    def element_name(self, i: int) -> str:
-        return self.elements[i]
-
     def validate(self, check_associativity: bool = True) -> None:
         """Exhaustive axiom check; associativity costs order-cubed."""
         if check_associativity:

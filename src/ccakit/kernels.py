@@ -1,9 +1,9 @@
 """Search kernels: colour-preserving automorphism backtracking and the
 associativity scan.
 
-Graphs arrive as a flattened vertex-by-vertex matrix ``colours`` of length
-n*n where entry ``u*n + v`` is the colour id of edge {u, v} (>= 0) or -1 for
-a non-edge.  The matrix is symmetric with -1 on the diagonal.
+Graphs arrive as adjacency lists: ``adjacency[v]`` holds a
+``(neighbour, colour)`` pair for each edge at v, ascending by neighbour,
+with colour ids >= 0 and every edge listed from both ends.
 """
 
 from __future__ import annotations
@@ -12,48 +12,64 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def _bfs_order(n: int, colours) -> tuple[list[int], list[int]]:
-    """Breadth-first vertex order from vertex 0, neighbours ascending."""
-    order = [0]
-    parent = [-1] * n
-    seen = [False] * n
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        ub = u * n
-        for v in range(n):
-            if colours[ub + v] >= 0 and not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-    if len(order) != n:
-        raise ValueError("graph is not connected")
-    return order, parent
+def pair_colours(adjacency) -> list[int]:
+    """Flat n*n lookup: entry u*n + x is the colour of edge {u, x}, else -1."""
+    n = len(adjacency)
+    colour = [-1] * (n * n)
+    for u, nbrs in enumerate(adjacency):
+        for x, c in nbrs:
+            colour[u * n + x] = c
+    return colour
 
 
-def search(n: int, colours, roots) -> tuple[list[tuple[int, ...]], int]:
+def preserves(adjacency, colour, img) -> bool:
+    """Does the bijection ``img`` send every edge onto an edge of the same
+    colour?  ``colour`` is the graph's ``pair_colours``.  Edges suffice: the
+    edge set is finite, so non-edges then go onto non-edges."""
+    n = len(adjacency)
+    for u, nbrs in enumerate(adjacency):
+        ib = img[u] * n
+        for x, c in nbrs:
+            if colour[ib + img[x]] != c:
+                return False
+    return True
+
+
+def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
     """Colour-preserving vertex bijections of a connected coloured graph that
     send vertex 0 into ``roots``.
 
-    Backtracking over a breadth-first spanning tree rooted at vertex 0: the
-    root image is tried over ``roots`` in the given order, every later vertex
-    only over the like-coloured neighbours of its parent's image, and each
-    placement is checked against all previously placed vertices.  A complete
-    assignment is verified over every vertex pair before being accepted.
-    Pass ``range(n)`` for the whole group, ``(0,)`` for the stabilizer of
-    vertex 0.  The search keeps its own stack, so its depth is not bounded
-    by the interpreter's recursion limit.
+    Backtracking over a breadth-first spanning tree rooted at vertex 0,
+    neighbours ascending: the root image is tried over ``roots`` in order,
+    every later vertex over the like-coloured neighbours of its parent's
+    image, ascending.  Placing v at w takes two passes: each placed
+    neighbour of v must go to a neighbour of w of the same colour, and each
+    neighbour of w that is already an image must come from a neighbour of v
+    of the same colour; any other placed pair is a non-edge on both sides.
+    A complete assignment is checked edge by edge before being accepted.
+    ``colour`` is the graph's ``pair_colours``.  Pass ``range(n)`` as
+    ``roots`` for the whole group, ``(0,)`` for the stabilizer of vertex 0.
+    The search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
 
     Returns the lexicographically sorted list of image tuples plus the number
     of committed placements (the search tree size).
     """
+    n = len(adjacency)
     if n <= 0:
         raise ValueError("graph must have at least one vertex")
-    order, parent = _bfs_order(n, colours)
+    order = [0]  # breadth-first, with tree parents and tree-edge colours
+    parent, via = [-1] * n, [-1] * n
+    for u in order:  # also walks what it appends
+        for x, c in adjacency[u]:
+            if parent[x] < 0 and x != 0:
+                parent[x] = u
+                via[x] = c
+                order.append(x)
+    if len(order) != n:
+        raise ValueError("graph is not connected")
     img = [-1] * n
-    used = [False] * n
+    pre = [-1] * n  # pre[w] = v when img[v] = w
     found: list[tuple[int, ...]] = []
     nodes = 0
     # one candidate iterator per placed depth; depth k places order[k]
@@ -62,50 +78,42 @@ def search(n: int, colours, roots) -> tuple[list[tuple[int, ...]], int]:
         k = len(pending) - 1
         v = order[k]
         if img[v] >= 0:  # back from the subtree below the last placement
-            used[img[v]] = False
+            pre[img[v]] = -1
             img[v] = -1
+        v_nbrs = adjacency[v]
         vb = v * n
         w = -1
         for cand in pending[-1]:
-            if used[cand]:
+            if pre[cand] >= 0:
                 continue
             cb = cand * n
-            ok = True
-            for j in range(k):
-                x = order[j]
-                if colours[vb + x] != colours[cb + img[x]]:
-                    ok = False
+            for x, c in v_nbrs:
+                y = img[x]
+                if y >= 0 and colour[cb + y] != c:
                     break
-            if ok:
-                w = cand
-                break
+            else:
+                for y, c in adjacency[cand]:
+                    x = pre[y]
+                    if x >= 0 and colour[vb + x] != c:
+                        break
+                else:
+                    w = cand
+                    break
         if w < 0:  # candidates exhausted: backtrack one level
             pending.pop()
             continue
         img[v] = w
-        used[w] = True
+        pre[w] = v
         nodes += 1
         if k + 1 < n:
             nxt = order[k + 1]
-            u = parent[nxt]
-            col = colours[u * n + nxt]
-            iub = img[u] * n
-            pending.append(iter([x for x in range(n)
-                                 if colours[iub + x] == col]))
-        elif _preserves_colours(n, colours, img):
+            col = via[nxt]
+            pending.append(iter([x for x, c in adjacency[img[parent[nxt]]]
+                                 if c == col]))
+        elif preserves(adjacency, colour, img):
             found.append(tuple(img))
     found.sort()
     return found, nodes
-
-
-def _preserves_colours(n: int, colours, img: list[int]) -> bool:
-    for u in range(n):
-        ub = u * n
-        iub = img[u] * n
-        for v in range(n):
-            if colours[ub + v] != colours[iub + img[v]]:
-                return False
-    return True
 
 
 def check_assoc(n: int, table) -> int:

@@ -124,7 +124,8 @@ def cayley_form(labeling: ArcLabeling
 
     lg_edges = {tuple(sorted((elem_of_vertex[u], elem_of_vertex[w])))
                 for (u, w) in lg.edges()}
-    cay_edges = set(cg.graph.edges())
+    cay_edges = {(u, x) for u, nbrs in enumerate(cg.adjacency)
+                 for x, _ in nbrs if u < x}
     if lg_edges != cay_edges:
         raise InternalInconsistencyError(
             "line graph of the subdivision is not the expected Cayley graph")

@@ -10,14 +10,17 @@ products, which ``groups.closure`` must reproduce; ``reclosing_scan`` closes
 from scratch after every pick, which ``groups.greedy_closure`` must match;
 ``min_walk_verdict`` keeps one connection set per Aut(G) orbit by a
 ``min`` over every automorphism, which ``engine.is_cca_group`` must match;
-and ``reclosing_iso_candidates`` vets each generator image by re-closing
+``reclosing_iso_candidates`` vets each generator image by re-closing
 the images chosen so far and extends a homomorphism only at the leaf, which
-the isomorphism search in ``groups`` must match map for map.
+the isomorphism search in ``groups`` must match map for map; and
+``matrix_search`` runs the search kernel on a flat n*n colour matrix,
+comparing each placement with every placed vertex and each leaf over all
+vertex pairs, which ``kernels.search`` must match image for image and node
+for node.
 """
 
 from itertools import combinations, permutations
 
-from ccakit import kernels
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
                            is_affine, is_cca_graph)
 from ccakit.errors import CapExceededError
@@ -78,6 +81,80 @@ def edge_dict(graph) -> dict:
     return {(u, v): graph.edge_colour(u, v) for (u, v) in graph.edges()}
 
 
+def colour_matrix(graph) -> list[int]:
+    """Flattened n*n matrix: colour id for edges, -1 elsewhere."""
+    n = graph.vertex_count
+    m = [-1] * (n * n)
+    for (u, v), cid in edge_dict(graph).items():
+        m[u * n + v] = cid
+        m[v * n + u] = cid
+    return m
+
+
+def _matrix_bfs_order(n, colours):
+    order = [0]
+    parent = [-1] * n
+    seen = [False] * n
+    seen[0] = True
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        for v in range(n):
+            if colours[u * n + v] >= 0 and not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                order.append(v)
+    if len(order) != n:
+        raise ValueError("graph is not connected")
+    return order, parent
+
+
+def _preserves_colours(n, colours, img):
+    return all(colours[u * n + v] == colours[img[u] * n + img[v]]
+               for u in range(n) for v in range(n))
+
+
+def matrix_search(n, colours, roots):
+    """The search kernel on a colour matrix: (sorted images, nodes).
+
+    Same tree as ``kernels.search``: breadth-first order from vertex 0,
+    the root over ``roots``, every later vertex over the like-coloured
+    neighbours of its parent's image, ascending.  Each placement is compared
+    with every placed vertex, and each leaf over every vertex pair.
+    """
+    order, parent = _matrix_bfs_order(n, colours)
+    img = [-1] * n
+    used = [False] * n
+    found = []
+    nodes = 0
+    pending = [iter(roots)]
+    while pending:
+        k = len(pending) - 1
+        v = order[k]
+        if img[v] >= 0:
+            used[img[v]] = False
+            img[v] = -1
+        w = next((c for c in pending[-1] if not used[c] and all(
+            colours[v * n + x] == colours[c * n + img[x]]
+            for x in order[:k])), -1)
+        if w < 0:
+            pending.pop()
+            continue
+        img[v] = w
+        used[w] = True
+        nodes += 1
+        if k + 1 < n:
+            nxt = order[k + 1]
+            col = colours[parent[nxt] * n + nxt]
+            pending.append(iter([x for x in range(n)
+                                 if colours[img[parent[nxt]] * n + x] == col]))
+        elif _preserves_colours(n, colours, img):
+            found.append(tuple(img))
+    found.sort()
+    return found, nodes
+
+
 def full_route_verdict(cg):
     """CCA verdict of a Cayley colour graph from its whole colour group.
 
@@ -87,7 +164,7 @@ def full_route_verdict(cg):
     """
     g = cg.group
     n = g.order
-    images, _ = kernels.search(n, cg.graph.colour_matrix(), range(n))
+    images, _ = matrix_search(n, colour_matrix(cg.graph), range(n))
     if not {tuple(row) for row in g.table} <= set(images):
         raise AssertionError("a left translation is missing from the search")
     witness = next((p for p in images if not is_affine(cg, Permutation(p))[0]),

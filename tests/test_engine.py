@@ -2,7 +2,7 @@
 cross-checked against the naive oracles in bruteforce.py."""
 
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,7 +17,8 @@ from ccakit.groups import (automorphisms, closure, cyclic, dihedral,
                            direct_product, inverse_classes, left_regular,
                            minimal_generating_sequence, quaternion)
 from ccakit.perm import Permutation
-from ccakit.speclang import elaborate, parse_expr
+from ccakit.speclang import (elaborate, elaborate_connection,
+                             parse_connection, parse_expr)
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
                         edge_dict, full_route_verdict, min_walk_verdict,
@@ -38,6 +39,55 @@ def test_is_colour_preserving():
     assert not is_colour_preserving(cg.graph, Permutation((1, 0, 2, 3, 4, 5)))
     with pytest.raises(ValueError):
         is_colour_preserving(cg.graph, Permutation((0, 1)))
+
+
+def pairwise_colour_preserving(graph, images) -> bool:
+    """The n^2 definition: every vertex pair keeps its colour or non-edge."""
+    colours = edge_dict(graph)
+
+    def colour(u, v):
+        return colours.get((u, v) if u < v else (v, u))
+    n = graph.vertex_count
+    return all(colour(u, v) == colour(images[u], images[v])
+               for u in range(n) for v in range(u + 1, n))
+
+
+@pytest.mark.parametrize("expr, conn", [("C(6)", "{r, r^3} +inv"),
+                                        ("D(3)", "{r, s} +inv"),
+                                        ("Q8", "{i, j} +inv")])
+def test_is_colour_preserving_matches_pairwise_check(expr, conn):
+    """Checking edges only agrees with checking every pair, on all n!
+    bijections of a few Cayley graphs, from the table-built adjacency and
+    from the edge-dict graph alike."""
+    g = elaborate(parse_expr(expr), {})
+    cg = cayley_graph(g, elaborate_connection(parse_connection(conn), g))
+    hits = 0
+    for images in permutations(range(g.order)):
+        p = Permutation(images)
+        want = pairwise_colour_preserving(cg.graph, images)
+        assert is_colour_preserving(cg, p) == want
+        assert is_colour_preserving(cg.graph, p) == want
+        hits += want
+    assert hits == len(brute_colour_automorphisms(g.order,
+                                                  edge_dict(cg.graph)))
+
+
+def test_is_affine_on_a_connection_set_that_does_not_generate():
+    """S = {2, 4} in C(6) generates only the even elements.  Fixing 0, 2, 4
+    and cycling 1 -> 3 -> 5 -> 1 passes both affinity routes when they run
+    over S alone, but it is not affine; is_affine must run over generators
+    of all of G and agree with the brute force on every colour-preserving
+    map of Cay(C(6), S)."""
+    g = cyclic(6)
+    cg = cayley_graph(g, [2, 4])
+    affine = brute_affine_maps(g.table)
+    cycled = Permutation((0, 3, 2, 5, 4, 1))
+    assert is_colour_preserving(cg, cycled)
+    assert is_affine(cg, cycled) == (False, None)
+    maps = brute_colour_automorphisms(6, edge_dict(cg.graph))
+    assert cycled.images in maps
+    for images in maps:
+        assert is_affine(cg, Permutation(images))[0] == (images in affine)
 
 
 def test_automorphism_group_of_six_cycle():

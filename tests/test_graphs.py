@@ -14,7 +14,9 @@ def test_coloured_graph_basics():
     assert g.neighbours(1) == (0, 2)
     assert g.degree(0) == 1
     assert g.colours_used() == [0, 1]
-    m = g.colour_matrix()
+    assert g.adjacency == [[(1, 0)], [(0, 0), (2, 0)], [(1, 0), (3, 1)],
+                           [(2, 1)]]
+    m = g.pair_colours
     assert m[0 * 4 + 1] == m[1 * 4 + 0] == 0
     assert m[0 * 4 + 2] == -1
 
@@ -34,7 +36,8 @@ def test_cayley_graph_colours_by_inverse_pair():
     assert cg.graph.vertex_count == 6
     assert cg.graph.edge_count == 9  # 6 from the hexagon pair + 3 diagonals
     # {r, r^5} is one class, {r^3} another
-    assert cg.colour_classes() == {1: (1, 5), 3: (3,)}
+    assert cg.adjacency[0] == [(1, 1), (3, 3), (5, 1)]
+    assert cg.adjacency[4] == [(1, 3), (3, 1), (5, 1)]
     assert cg.graph.edge_colour(0, 1) == 1
     assert cg.graph.edge_colour(0, 3) == 3
 

@@ -124,10 +124,10 @@ def test_quaternion_table():
     q = quaternion()
     i, j = q.generators["i"], q.generators["j"]
     minus_one = q.mult(i, i)
-    assert q.element_name(minus_one) == "-1"
+    assert q.elements[minus_one] == "-1"
     assert q.mult(j, j) == minus_one
     k = q.mult(i, j)
-    assert q.element_name(k) == "k"
+    assert q.elements[k] == "k"
     assert q.mult(j, i) == q.inv(k)
     assert q.order_profile() == {1: 1, 2: 1, 4: 6}
 

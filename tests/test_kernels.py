@@ -1,12 +1,22 @@
-"""The search kernel against the all-permutations filter."""
+"""The search kernel against the all-permutations filter and against the
+colour-matrix kernel it replaced."""
+
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccakit import kernels
-from ccakit.graphs import cayley_graph, complete_colour_graph
-from ccakit.groups import cyclic, dihedral, direct_product, quaternion
+from ccakit.graphs import (ColouredGraph, cayley_graph, complete_bipartite,
+                           complete_colour_graph, line_graph, subdivision)
+from ccakit.groups import (cyclic, dihedral, direct_product, inverse_classes,
+                           quaternion)
+from ccakit.speclang import elaborate, parse_expr
 
-from bruteforce import brute_colour_automorphisms, edge_dict
+from bruteforce import (brute_colour_automorphisms, colour_matrix, edge_dict,
+                        matrix_search)
+from test_engine import ORDER_12_GROUPS
 
 GRAPHS = [
     cayley_graph(cyclic(6), [1, 5]).graph,
@@ -20,14 +30,14 @@ GRAPHS = [
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_matches_bruteforce(g):
     n = g.vertex_count
-    found, _ = kernels.search(n, g.colour_matrix(), range(n))
+    found, _ = kernels.search(g.adjacency, g.pair_colours, range(n))
     assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_fixing_vertex_0_matches_bruteforce(g):
     n = g.vertex_count
-    found, _ = kernels.search(n, g.colour_matrix(), (0,))
+    found, _ = kernels.search(g.adjacency, g.pair_colours, (0,))
     brute = brute_colour_automorphisms(n, edge_dict(g))
     assert found == sorted(p for p in brute if p[0] == 0)
 
@@ -35,7 +45,7 @@ def test_search_fixing_vertex_0_matches_bruteforce(g):
 def test_search_output_sorted_and_counted():
     g = cayley_graph(cyclic(6), [1, 5]).graph
     n = g.vertex_count
-    found, nodes = kernels.search(n, g.colour_matrix(), range(n))
+    found, nodes = kernels.search(g.adjacency, g.pair_colours, range(n))
     assert found == sorted(found)
     assert len(found) == 12  # the 6-cycle: rotations and reflections
     # distinct leaves need distinct committed placements; prefixes are shared
@@ -45,7 +55,7 @@ def test_search_output_sorted_and_counted():
 def test_search_rejects_disconnected():
     g = cayley_graph(cyclic(6), [2, 4]).graph
     with pytest.raises(ValueError):
-        kernels.search(g.vertex_count, g.colour_matrix(), range(6))
+        kernels.search(g.adjacency, g.pair_colours, range(6))
 
 
 def test_check_assoc():
@@ -55,3 +65,59 @@ def test_check_assoc():
     broken = list(flat)
     broken[1 * 4 + 2] = 0  # r * r^2 = e breaks associativity somewhere
     assert kernels.check_assoc(4, broken) >= 0
+
+
+def assert_matches_matrix_search(g):
+    """Same sorted images and the same node count, for both root sets."""
+    n = g.vertex_count
+    m = colour_matrix(g if isinstance(g, ColouredGraph) else g.graph)
+    for roots in ((0,), range(n)):
+        assert kernels.search(g.adjacency, g.pair_colours, roots) == \
+            matrix_search(n, m, roots)
+
+
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS)
+def test_search_matches_matrix_search_on_cayley_graphs(expr):
+    """Every connected Cayley graph of the group, as the verdict path
+    builds it from the table."""
+    g = elaborate(parse_expr(expr), {})
+    classes = inverse_classes(g)
+    graphs = 0
+    for size in range(1, len(classes) + 1):
+        for combo in combinations(classes, size):
+            conn = sorted(c for cls in combo for c in cls)
+            if g.generates(conn):
+                assert_matches_matrix_search(cayley_graph(g, conn))
+                graphs += 1
+    assert graphs > 0
+
+
+K33 = complete_bipartite(3, 3)
+S_K33 = subdivision(K33)[0]
+OTHER_GRAPHS = [K33, S_K33, line_graph(S_K33)[0],
+                ColouredGraph(5, {(0, 1): 0, (1, 2): 1, (2, 3): 0, (3, 4): 1,
+                                  (4, 0): 2, (0, 2): 0})]
+
+
+@pytest.mark.parametrize("g", OTHER_GRAPHS, ids=lambda g: repr(g))
+def test_search_matches_matrix_search_on_other_graphs(g):
+    assert_matches_matrix_search(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_matches_matrix_search_on_random_graphs(data):
+    """Connected graphs: a random spanning tree plus random extra edges,
+    each edge one of three colours."""
+    n = data.draw(st.integers(1, 7), label="n")
+    edges = {(data.draw(st.integers(0, v - 1)), v): 0 for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        for pair in data.draw(st.lists(st.sampled_from(pairs), max_size=8)):
+            edges[pair] = 0
+    for pair in edges:
+        edges[pair] = data.draw(st.integers(0, 2))
+    g = ColouredGraph(n, edges)
+    assert_matches_matrix_search(g)
+    found, _ = kernels.search(g.adjacency, g.pair_colours, range(n))
+    assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
