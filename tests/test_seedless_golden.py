@@ -1,11 +1,12 @@
 """Pinned bytes of ``--seedless`` reports.
 
 Each task's stdout (and, for the witness task, the ``--out`` JSON and DOT
-files) must hash to the digest recorded here.  The digests were taken from
-the verdict path as it stood before the table-driven search replaced the
-colour-matrix one; they are never regenerated from the code under test, so
-any change to a verdict, a witness, a check narrative or ``stats.nodes``
-shows up here.
+files) must hash to the digest recorded here.  The first seven digests were
+taken from the verdict path as it stood before the table-driven search
+replaced the colour-matrix one, the last four before the witness, harness
+and pair pipelines were trimmed; they are never regenerated from the code
+under test, so any change to a verdict, a witness, a check narrative or
+``stats.nodes`` shows up here.
 """
 
 import hashlib
@@ -33,6 +34,16 @@ GOLDEN = [
      "44169b20731b82073f99246ad8c92053fa9f97ac623b8c55b212097c3eb4be25", {}),
     (("harness-4-10", "--n", "3"),
      "5bbf959e564d437ef7892f281ea7a9e9b8b155663fdbdcc187b37b174c369b68", {}),
+    (("witness-prop33", "--n", "5"),
+     "7f5ceb7c89c00886e23176c26b651f7213d97d059aea134efd7809ea290479b7", {}),
+    (("harness-4-10", "--n", "5"),
+     "dc2c03f7782c6607fb0ecc2d6764d94cc3ef846be50066a1fa59f9f828a77baf", {}),
+    # the abelian inversion shape
+    (("pair", "C(5)", "Dih(C(5))"),
+     "fd43896799b905b45c8635455b51d0c20fe029affa9675f97679a9a5780a5438", {}),
+    # the dicyclic coset-reflection shape
+    (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
+     "89cb9738edaeab4097cc2f4e171051dca62da3c8a99f8fe58f001cabd4c15932", {}),
 ]
 
 
