@@ -31,9 +31,15 @@ def _index_map(group: FiniteGroup) -> dict:
     return {p.images: i for i, p in enumerate(group.realization)}
 
 
+def _stage(cond, msg):
+    if not cond:
+        raise PipelineError("actors", msg)
+
+
 @dataclass(frozen=True)
 class KnnActors:
-    """The named permutations on K_{n,n} and the two groups they generate."""
+    """The named permutations on K_{n,n}, the group G they generate and,
+    built on first read, the overgroup H."""
 
     n: int
     graph: ColouredGraph
@@ -43,7 +49,6 @@ class KnnActors:
     sigma2: Permutation
     tau: Permutation
     g: FiniteGroup
-    h: FiniteGroup
 
     @property
     def base_arc(self) -> Arc:
@@ -61,14 +66,33 @@ class KnnActors:
         except KeyError:
             raise ValueError("permutation is not an element of G") from None
 
+    @cached_property
+    def h(self) -> FiniteGroup:
+        """<rho1, sigma1, rho2, sigma2, tau>, checked on first read to have
+        order 8n^2 and to match the wreath-style double of D_2n."""
+        n = self.n
+        gens = [self.rho1, self.sigma1, self.rho2, self.sigma2, self.tau]
+        h = closure(gens, cap=8 * n * n,
+                    names=["rho1", "sigma1", "rho2", "sigma2", "tau"],
+                    name=f"H({n})")
+        _stage(h.order == 8 * n * n, f"|H| = {h.order}, wanted {8 * n * n}")
+        hmap = _index_map(h)
+        wr = wreath_c2(dihedral(n), cap=8 * n * n)
+        images = [hmap[p.images] for p in gens]
+        wr_gens = [wr.generators[x] for x in ("r1", "s1", "r2", "s2", "t")]
+        full = extend_homomorphism(wr, wr_gens, images, h)
+        _stage(full is not None and len(set(full)) == h.order,
+               "H does not match the doubled dihedral group")
+        return h
+
 
 def knn_actors(n: int) -> KnnActors:
     """Build the actors for K_{n,n} and verify their structure.
 
-    Checks |G| = 2n^2 with G isomorphic to C_n x D_2n, |H| = 8n^2 with H
-    isomorphic to the wreath-style double of D_2n, the swap relations
+    Checks |G| = 2n^2 with G isomorphic to C_n x D_2n, the swap relations
     tau rho1 tau = rho2 and tau sigma1 tau = sigma2, that sigma2 lies
-    outside G, and that rho2^2 already generates <rho2> (n is odd).
+    outside G, and that rho2^2 already generates <rho2> (n is odd).  H is
+    built and checked only when ``h`` is first read.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
@@ -94,47 +118,29 @@ def knn_actors(n: int) -> KnnActors:
                           for i in ident])
     tau = Permutation([(i + n) % pts for i in ident])
 
-    def stage(cond, msg):
-        if not cond:
-            raise PipelineError("actors", msg)
-
-    stage(compose(tau, compose(rho1, tau)) == rho2, "tau rho1 tau != rho2")
-    stage(compose(tau, compose(sigma1, tau)) == sigma2,
-          "tau sigma1 tau != sigma2")
-    stage({rho2 ** (2 * k) for k in range(n)} == {rho2 ** k for k in range(n)},
-          "rho2^2 generates less than rho2")
+    _stage(compose(tau, compose(rho1, tau)) == rho2, "tau rho1 tau != rho2")
+    _stage(compose(tau, compose(sigma1, tau)) == sigma2,
+           "tau sigma1 tau != sigma2")
+    _stage({rho2 ** (2 * k) for k in range(n)}
+           == {rho2 ** k for k in range(n)}, "rho2^2 generates less than rho2")
 
     g = closure([rho1, rho2, tau], cap=2 * n * n,
                 names=["rho1", "rho2", "tau"], name=f"G({n})")
-    stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
-    gmap = _index_map(g)
-    stage(sigma2.images not in gmap, "sigma2 lies inside G")
-
-    h = closure([rho1, sigma1, rho2, sigma2, tau], cap=8 * n * n,
-                names=["rho1", "sigma1", "rho2", "sigma2", "tau"],
-                name=f"H({n})")
-    stage(h.order == 8 * n * n, f"|H| = {h.order}, wanted {8 * n * n}")
+    _stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
+    actors = KnnActors(n, complete_bipartite(n, n), rho1, rho2, sigma1,
+                       sigma2, tau, g)
+    _stage(sigma2.images not in actors.g_map, "sigma2 lies inside G")
 
     # G is C_n x D_2n: the central factor is <rho1 rho2>
     model = direct_product(cyclic(n), dihedral(n), cap=2 * n * n)
-    images = [gmap[compose(rho1, rho2).images],
-              gmap[compose(rho1.inverse(), rho2).images],
-              gmap[tau.images]]
+    images = [actors.g_index(compose(rho1, rho2)),
+              actors.g_index(compose(rho1.inverse(), rho2)),
+              actors.g_index(tau)]
     gens = [model.generators[x] for x in ("r1", "r2", "s2")]
     full = extend_homomorphism(model, gens, images, g)
-    stage(full is not None and len(set(full)) == g.order,
-          "G does not match C_n x D_2n")
-
-    hmap = _index_map(h)
-    wr = wreath_c2(dihedral(n), cap=8 * n * n)
-    images = [hmap[p.images] for p in (rho1, sigma1, rho2, sigma2, tau)]
-    gens = [wr.generators[x] for x in ("r1", "s1", "r2", "s2", "t")]
-    full = extend_homomorphism(wr, gens, images, h)
-    stage(full is not None and len(set(full)) == h.order,
-          "H does not match the doubled dihedral group")
-
-    return KnnActors(n, complete_bipartite(n, n), rho1, rho2, sigma1,
-                     sigma2, tau, g, h)
+    _stage(full is not None and len(set(full)) == g.order,
+           "G does not match C_n x D_2n")
+    return actors
 
 
 def _expected_connection(actors: KnnActors) -> list[int]:
@@ -247,6 +253,7 @@ class DoubleDihedral:
     actors: KnnActors
     gamma: Permutation
     group: FiniteGroup
+    index_map: dict  # image tuple -> index in <G, gamma>
     nf_of_index: tuple
     index_of_nf: dict
 
@@ -273,8 +280,7 @@ class DoubleDihedral:
 
         labeling = arc_labeling(actors.graph, actors.g, actors.base_arc)
         t_sigma2 = induced_vertex_map(actors.sigma2, labeling)
-        hmap = self.index_map
-        g_in_big = [hmap[p.images] for p in actors.g.realization]
+        g_in_big = [self.index_map[p.images] for p in actors.g.realization]
         gidx = self.gamma_index
         by_transport = [0] * self.group.order
         for gi in range(actors.g.order):
@@ -287,11 +293,6 @@ class DoubleDihedral:
             raise InternalInconsistencyError(
                 "exponent route and transport route disagree")
         return Permutation(by_exponents)
-
-    @cached_property
-    def index_map(self) -> dict:
-        """Image tuple -> index in <G, gamma>, built once."""
-        return _index_map(self.group)
 
     @property
     def gamma_index(self) -> int:
@@ -362,7 +363,8 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                 raise InternalInconsistencyError(
                     f"rebasing identity failed at ({a}, {b})")
 
-    return DoubleDihedral(actors, gam, big, tuple(nf_of_index), index_of_nf)
+    return DoubleDihedral(actors, gam, big, bmap, tuple(nf_of_index),
+                          index_of_nf)
 
 
 def double_dihedral_witness(n: int) -> Verdict:

@@ -189,10 +189,6 @@ def _untranslated(cg: CayleyColouredGraph, imgs) -> list[int] | None:
     return alpha if by_decomposition else None
 
 
-def _left_translation_set(g: FiniteGroup) -> frozenset[tuple[int, ...]]:
-    return frozenset(tuple(row) for row in g.table)
-
-
 def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
     """Is every colour-preserving automorphism of Cay(G, C) affine?
 
@@ -384,32 +380,29 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     b_in_a0 = b_elem <= a0
     checks.append(Check("b-within-colour-group", b_in_a0, ""))
 
-    translations = _left_translation_set(ghat)
+    # a0 is a group holding every translation, so for a map s that fixes the
+    # identity and is not the identity map, the translations together with
+    # the translations after s make up a0 iff s is in a0 and |a0| = 2|G|
+    two_cosets = len(a0) == 2 * ghat.order
     witness = None
 
     bullet_1 = False
     if ghat.is_abelian() and not ghat.is_elementary_abelian_2():
         inv_perm = tuple(ghat.inverse)
-        dih = set(translations)
-        for row in ghat.table:
-            dih.add(tuple(row[inv_perm[j]] for j in range(ghat.order)))
-        bullet_1 = dih == a0
+        bullet_1 = two_cosets and inv_perm in a0
         if bullet_1:
             witness = Permutation(inv_perm)
     checks.append(Check("abelian-inversion-shape", bullet_1, ""))
 
     bullet_2 = False
     iso = q8_c2n_isomorphism(ghat)
-    dic_witnesses = recognize_dicyclic(ghat)
-    if dic_witnesses and iso is None:
-        for w in dic_witnesses:
+    if two_cosets and iso is None:
+        # x outside the index-2 subgroup has order 4, so sigma moves x
+        for w in recognize_dicyclic(ghat):
             inside = set(w.subgroup)
             sigma = tuple(i if i in inside else ghat.inverse[i]
                           for i in range(ghat.order))
-            full = set(translations)
-            for row in ghat.table:
-                full.add(tuple(row[sigma[j]] for j in range(ghat.order)))
-            if full == a0:
+            if sigma in a0:
                 bullet_2 = True
                 if witness is None:
                     witness = Permutation(sigma)
@@ -456,20 +449,15 @@ def is_arc_regular(g: ColouredGraph, grp: FiniteGroup) -> bool:
         raise ValueError("group needs a permutation realization")
     if grp.realization[0].degree != g.vertex_count:
         raise ValueError("realization degree does not match the graph")
-    edges = g.edges()
-    edge_set = set(edges)
-    for i, p in enumerate(grp.realization):
-        imgs = p.images
-        for (u, v) in edges:
-            a, bb = imgs[u], imgs[v]
-            if ((a, bb) if a < bb else (bb, a)) not in edge_set:
-                raise ValueError(
-                    f"element {grp.elements[i]} is not a graph automorphism")
-    arc_count = 2 * len(edges)
-    if grp.order != arc_count or not edges:
+    bad = g.first_non_automorphism(grp.realization)
+    if bad is not None:
+        raise ValueError(
+            f"element {grp.elements[bad]} is not a graph automorphism")
+    arc_count = 2 * g.edge_count
+    if grp.order != arc_count or not arc_count:
         return False
-    base = (edges[0][0], edges[0][1])
-    orbit = {(p.images[base[0]], p.images[base[1]]) for p in grp.realization}
+    u, v = g.edges()[0]
+    orbit = {(p.images[u], p.images[v]) for p in grp.realization}
     return len(orbit) == arc_count
 
 
@@ -543,15 +531,10 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
         return fail("subgroup", "grp is not contained in h")
     checks.append(Check("subgroup", True, f"index {len(h_set) // len(grp_set)}"))
 
-    edges = g.edges()
-    edge_set = set(edges)
-    for i, p in enumerate(h.realization):
-        imgs = p.images
-        for (u, w) in edges:
-            a, bb = imgs[u], imgs[w]
-            if ((a, bb) if a < bb else (bb, a)) not in edge_set:
-                return fail("h-automorphisms",
-                            f"element {h.elements[i]} breaks an edge")
+    bad = g.first_non_automorphism(h.realization)
+    if bad is not None:
+        return fail("h-automorphisms",
+                    f"element {h.elements[bad]} breaks an edge")
     checks.append(Check("h-automorphisms", True, ""))
 
     for v in range(g.vertex_count):
@@ -605,5 +588,6 @@ def replay_witness(v: Verdict) -> bool:
     if v.kind is VerdictKind.PAIR_YES:
         if not is_colour_preserving(cg.graph, v.witness):
             return False
-        return v.witness.images not in _left_translation_set(cg.group)
+        imgs, g = v.witness.images, cg.group
+        return g.table[imgs[g.identity]] != list(imgs)
     raise ValueError(f"verdict kind {v.kind.value} has no witness semantics")

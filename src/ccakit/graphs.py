@@ -61,6 +61,18 @@ class ColouredGraph:
     def edge_colour(self, u: int, v: int) -> int:
         return self._colour[(u, v) if u < v else (v, u)]
 
+    def first_non_automorphism(self, perms) -> int | None:
+        """Position in ``perms`` of the first vertex permutation that sends
+        some edge off the edge set (colours ignored), or None if none does."""
+        edges = self._colour
+        for i, p in enumerate(perms):
+            imgs = p.images
+            for (u, v) in edges:
+                a, b = imgs[u], imgs[v]
+                if ((a, b) if a < b else (b, a)) not in edges:
+                    return i
+        return None
+
     def colours_used(self) -> list[int]:
         return sorted(set(self._colour.values()))
 

@@ -46,7 +46,8 @@ def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
     neighbour of v must go to a neighbour of w of the same colour, and each
     neighbour of w that is already an image must come from a neighbour of v
     of the same colour; any other placed pair is a non-edge on both sides.
-    A complete assignment is checked edge by edge before being accepted.
+    Every pair of vertices is so checked when the later of the two is
+    placed, so a complete assignment is accepted as it stands.
     ``colour`` is the graph's ``pair_colours``.  Pass ``range(n)`` as
     ``roots`` for the whole group, ``(0,)`` for the stabilizer of vertex 0.
     The search keeps its own stack, so its depth is not bounded by the
@@ -110,7 +111,7 @@ def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
             col = via[nxt]
             pending.append(iter([x for x, c in adjacency[img[parent[nxt]]]
                                  if c == col]))
-        elif preserves(adjacency, colour, img):
+        else:
             found.append(tuple(img))
     found.sort()
     return found, nodes

@@ -47,19 +47,15 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     all_arcs = arcs(graph)
     if not all_arcs:
         raise ValueError("graph has no arcs to label")
-    edge_set = set(graph.edges())
-    for i, p in enumerate(group.realization):
-        imgs = p.images
-        for (u, w) in edge_set:
-            a, b = imgs[u], imgs[w]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
-                raise ValueError(
-                    f"element {group.elements[i]} is not a graph automorphism")
+    bad = graph.first_non_automorphism(group.realization)
+    if bad is not None:
+        raise ValueError(
+            f"element {group.elements[bad]} is not a graph automorphism")
     if base_arc is None:
         base_arc = all_arcs[0]
     else:
         base_arc = Arc(*base_arc)
-        if (min(base_arc), max(base_arc)) not in edge_set:
+        if not graph.has_edge(*base_arc):
             raise ValueError(f"{base_arc} is not an arc of the graph")
     if group.order != len(all_arcs):
         raise ValueError(

@@ -16,17 +16,22 @@ the isomorphism search in ``groups`` must match map for map; and
 ``matrix_search`` runs the search kernel on a flat n*n colour matrix,
 comparing each placement with every placed vertex and each leaf over all
 vertex pairs, which ``kernels.search`` must match image for image and node
-for node.
+for node; and ``set_built_pair_verdict`` builds the whole set of maps each
+pair shape predicts and compares it with the colour group, which
+``engine.is_complete_colour_pair`` must match kind, checks and witness.
 """
 
 from itertools import combinations, permutations
 
-from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
-                           is_affine, is_cca_graph)
+from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind, _After,
+                           _point_element_dictionaries,
+                           colour_preserving_automorphisms, is_affine,
+                           is_cca_graph)
 from ccakit.errors import CapExceededError
-from ccakit.graphs import cayley_graph
+from ccakit.graphs import cayley_graph, complete_colour_graph
 from ccakit.groups import (_format_word, automorphisms, extend_homomorphism,
-                           inverse_classes)
+                           greedy_closure, inverse_classes,
+                           q8_c2n_isomorphism, recognize_dicyclic)
 from ccakit.perm import Permutation
 
 
@@ -324,3 +329,99 @@ def min_walk_verdict(g, cap):
                                data={"connection": list(conn)}), examined
     checks.append(Check("connection-sets-examined", True, str(len(examined))))
     return Verdict(VerdictKind.CCA, checks, stats=stats), examined
+
+
+def _left_translation_set(g):
+    return frozenset(tuple(row) for row in g.table)
+
+
+def set_built_pair_verdict(ghat, b):
+    """``is_complete_colour_pair`` with each shape decided by building the
+    whole set of maps it predicts, translations included, and comparing that
+    set with the colour group of the complete colour graph."""
+    checks = []
+    if ghat.realization is None or b.realization is None:
+        raise ValueError("both groups need permutation realizations")
+    if ghat.order <= 2:
+        raise ValueError("complete colour pairs need |G| >= 3")
+    degree = ghat.realization[0].degree
+    if b.realization[0].degree != degree:
+        raise ValueError("G and B act on different point sets")
+    if ghat.order != degree:
+        checks.append(Check("g-regular", False,
+                            f"|G| = {ghat.order} but {degree} points"))
+        return Verdict(VerdictKind.PAIR_NO, checks)
+    pt_of_elem, elem_of_pt = _point_element_dictionaries(ghat)
+    checks.append(Check("g-regular", True, f"regular on {degree} points"))
+
+    ghat_points = frozenset(p.images for p in ghat.realization)
+    b_points = frozenset(p.images for p in b.realization)
+    g_in_b = ghat_points <= b_points
+    checks.append(Check("g-subgroup-of-b", g_in_b, f"|B| = {len(b_points)}"))
+
+    kg = complete_colour_graph(ghat)
+    aut = colour_preserving_automorphisms(kg)
+    a0 = aut.element_set()
+    checks.append(Check("colour-group-computed", True,
+                        f"order {len(a0)} on the complete colour graph"))
+    b_elem = {tuple(elem_of_pt[p.images[pt_of_elem[i]]]
+                    for i in range(ghat.order)) for p in b.realization}
+    b_in_a0 = b_elem <= a0
+    checks.append(Check("b-within-colour-group", b_in_a0, ""))
+
+    translations = _left_translation_set(ghat)
+    witness = None
+
+    def shape(s):
+        return set(translations) | {tuple(row[s[j]] for j in range(ghat.order))
+                                    for row in ghat.table}
+
+    bullet_1 = False
+    if ghat.is_abelian() and not ghat.is_elementary_abelian_2():
+        inv_perm = tuple(ghat.inverse)
+        bullet_1 = shape(inv_perm) == a0
+        if bullet_1:
+            witness = Permutation(inv_perm)
+    checks.append(Check("abelian-inversion-shape", bullet_1, ""))
+
+    bullet_2 = False
+    iso = q8_c2n_isomorphism(ghat)
+    dic_witnesses = recognize_dicyclic(ghat)
+    if dic_witnesses and iso is None:
+        for w in dic_witnesses:
+            inside = set(w.subgroup)
+            sigma = tuple(i if i in inside else ghat.inverse[i]
+                          for i in range(ghat.order))
+            if shape(sigma) == a0:
+                bullet_2 = True
+                if witness is None:
+                    witness = Permutation(sigma)
+                break
+    detail_2 = ("accepted via one structural witness (any witness counts)"
+                if bullet_2 else "")
+    checks.append(Check("dicyclic-reflection-shape", bullet_2, detail_2))
+
+    bullet_3 = False
+    if iso is not None:
+        back = iso.inverted()
+        shift = (ghat.order // 8).bit_length() - 1
+        target = iso.target
+        sigmas = []
+        for lo, hi in ((2, 3), (4, 5), (6, 7)):
+            sigma_t = [p if (p >> shift) not in (lo, hi)
+                       else target.inverse[p] for p in range(ghat.order)]
+            sigmas.append(tuple(back.images[sigma_t[iso.images[i]]]
+                                for i in range(ghat.order)))
+        _, span = greedy_closure([tuple(row) for row in ghat.table] + sigmas,
+                                 tuple(range(ghat.order)), _After,
+                                 limit=len(a0))
+        bullet_3 = span == a0
+        if bullet_3 and witness is None:
+            witness = Permutation(sigmas[0])
+    checks.append(Check("quaternion-reflections-shape", bullet_3, ""))
+
+    if not (g_in_b and b_in_a0 and (bullet_1 or bullet_2 or bullet_3)):
+        return Verdict(VerdictKind.PAIR_NO, checks, stats=aut.stats)
+    return Verdict(VerdictKind.PAIR_YES, checks, witness=witness,
+                   context=kg, stats=aut.stats)
+

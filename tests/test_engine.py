@@ -22,7 +22,7 @@ from ccakit.speclang import (elaborate, elaborate_connection,
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
                         edge_dict, full_route_verdict, min_walk_verdict,
-                        reclosing_iso_candidates)
+                        reclosing_iso_candidates, set_built_pair_verdict)
 
 
 def dih_closure(g):
@@ -344,6 +344,44 @@ def test_pair_no_when_b_too_big():
     assert not by_name["b-within-colour-group"]
 
 
+PAIR_GROUPS = ["C(3)", "C(4)", "C(5)", "C(6)", "C(7)", "C(8)", "C(9)",
+               "C(10)", "C(12)", "C(2) x C(2)", "C(2) x C(4)", "C(3) x C(3)",
+               "C(2) x C(6)", "C(2) x C(2) x C(2)", "D(3)", "D(4)", "D(5)",
+               "D(6)", "Q8", "Q8 x C(2)", "Dic(C(6), r^3)", "Dic(C(8), r^4)"]
+PAIR_CASES = [(expr, False) for expr in PAIR_GROUPS] + [
+    (expr, True) for expr in PAIR_GROUPS
+    if elaborate(parse_expr(expr)).is_abelian()]
+
+
+@pytest.mark.parametrize("expr, dih", PAIR_CASES,
+                         ids=[f"{e} with {'Dih(G)' if d else 'G'}"
+                              for e, d in PAIR_CASES])
+def test_pair_shapes_match_set_built_route(expr, dih):
+    """Membership and order decide the inversion and coset-reflection
+    shapes exactly as building their 2|G| maps does."""
+    g = elaborate(parse_expr(expr))
+    ghat = left_regular(g)
+    b = dih_closure(g) if dih else ghat
+    got = is_complete_colour_pair(ghat, b)
+    want = set_built_pair_verdict(ghat, b)
+    assert got.kind is want.kind
+    assert [(c.name, c.passed, c.detail) for c in got.checks] == \
+        [(c.name, c.passed, c.detail) for c in want.checks]
+    assert got.witness == want.witness
+    assert got.stats.nodes == want.stats.nodes
+    if got.kind is VerdictKind.PAIR_YES:
+        assert replay_witness(got)
+
+
+def test_replay_rejects_a_translation_as_pair_witness():
+    g = cyclic(5)
+    v = is_complete_colour_pair(left_regular(g), dih_closure(g))
+    assert replay_witness(v)
+    for row in g.table:  # colour-preserving, but no certificate
+        v.witness = Permutation(tuple(row))
+        assert not replay_witness(v)
+
+
 def test_pair_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match=">= 3"):
         is_complete_colour_pair(left_regular(cyclic(2)),
@@ -385,6 +423,15 @@ def test_harness_reports_failed_hypotheses():
     v = arc_lift_harness(hexagon, full, full)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
     assert any(c.name == "local-pairs" and not c.passed for c in v.checks)
+
+    # an overgroup that moves an edge onto a non-edge fails its own check
+    bigger = closure([*full.realization, Permutation((3, 1, 2, 0, 4, 5))])
+    v = arc_lift_harness(hexagon, full, bigger)
+    assert v.kind is VerdictKind.HYPOTHESES_FAIL
+    last = v.checks[-1]
+    assert (last.name, last.passed) == ("h-automorphisms", False)
+    assert last.detail.startswith("element ")
+    assert last.detail.endswith(" breaks an edge")
 
 
 def test_replay_witness_rejects_tampering():

@@ -4,6 +4,7 @@ from ccakit.graphs import (Arc, ColouredGraph, arcs, cayley_graph,
                            complete_bipartite, complete_colour_graph,
                            is_connected, line_graph, subdivision)
 from ccakit.groups import cyclic, dihedral, direct_product
+from ccakit.perm import Permutation
 
 
 def test_coloured_graph_basics():
@@ -19,6 +20,16 @@ def test_coloured_graph_basics():
     m = g.pair_colours
     assert m[0 * 4 + 1] == m[1 * 4 + 0] == 0
     assert m[0 * 4 + 2] == -1
+
+
+def test_first_non_automorphism_ignores_colours():
+    path = ColouredGraph(4, {(0, 1): 0, (1, 2): 0, (2, 3): 1})
+    flip = Permutation((3, 2, 1, 0))  # swaps the colours, keeps the edges
+    swap = Permutation((1, 0, 2, 3))  # sends {1, 2} onto the non-edge {0, 2}
+    ident = Permutation((0, 1, 2, 3))
+    assert path.first_non_automorphism([]) is None
+    assert path.first_non_automorphism([ident, flip]) is None
+    assert path.first_non_automorphism([ident, flip, swap, swap]) == 2
 
 
 def test_coloured_graph_rejects_bad_edges():

@@ -25,6 +25,25 @@ def test_actor_invariants(n):
     assert a.g_index(a.tau) >= 0
 
 
+def test_overgroup_is_built_once_and_only_when_read(monkeypatch):
+    import ccakit.bipartite as bipartite
+
+    def no_wreath(*args, **kwargs):
+        raise AssertionError("H was built")
+
+    monkeypatch.setattr(bipartite, "wreath_c2", no_wreath)
+    v = double_dihedral_witness(3)
+    assert v.kind is VerdictKind.NON_CCA
+    assert replay_witness(v)
+    a = knn_actors(3)
+    with pytest.raises(AssertionError, match="H was built"):
+        a.h
+    monkeypatch.undo()
+    h = a.h
+    assert a.h is h
+    assert h.order == 72
+
+
 def test_actor_parameter_validation():
     for bad in (1, 2, 4, 6):
         with pytest.raises(ValueError):

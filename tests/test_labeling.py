@@ -41,6 +41,17 @@ def test_arc_labeling_rejects_wrong_size():
         arc_labeling(g, rot_only)
 
 
+def test_arc_labeling_rejects_non_automorphisms_and_bad_bases():
+    g = hexagon()
+    swap = Permutation((1, 0, 2, 3, 4, 5))
+    grp = closure([swap], names=["t"])
+    with pytest.raises(ValueError,
+                       match="element t is not a graph automorphism"):
+        arc_labeling(g, grp)
+    with pytest.raises(ValueError, match="not an arc"):
+        arc_labeling(g, dihedral_action(), base_arc=Arc(0, 2))
+
+
 def test_arc_labeling_respects_chosen_base():
     g = hexagon()
     grp = dihedral_action()
