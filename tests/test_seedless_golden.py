@@ -3,10 +3,12 @@
 Each task's stdout (and, for the witness task, the ``--out`` JSON and DOT
 files) must hash to the digest recorded here.  The first seven digests were
 taken from the verdict path as it stood before the table-driven search
-replaced the colour-matrix one, the last four before the witness, harness
-and pair pipelines were trimmed; they are never regenerated from the code
-under test, so any change to a verdict, a witness, a check narrative or
-``stats.nodes`` shows up here.
+replaced the colour-matrix one, the next four before the witness, harness
+and pair pipelines were trimmed, and the last three before the orbit walk
+stopped closing each connection set twice and census and the single-verdict
+commands came to share one report emitter; they are never regenerated from
+the code under test, so any change to a verdict, a witness, a check
+narrative or ``stats.nodes`` shows up here.
 """
 
 import hashlib
@@ -44,6 +46,17 @@ GOLDEN = [
     # the dicyclic coset-reflection shape
     (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
      "89cb9738edaeab4097cc2f4e171051dca62da3c8a99f8fe58f001cabd4c15932", {}),
+    # the census emitter, with replay checks and its --out file
+    (("census", "--orders", "4..8", "--verify"),
+     "44366e7cfad5df133be6bc7396a4c5653980b555b011cab7bea3c3598e019f55",
+     {"census-4-8.json":
+      "44366e7cfad5df133be6bc7396a4c5653980b555b011cab7bea3c3598e019f55"}),
+    # the walk's cap, reported by the single-verdict emitter
+    (("check-group", "D(6)", "--cap", "3"),
+     "a91e20f71fe1d54ec281c12b890738bf009e6094644dc77a24a5518583f94336", {}),
+    # the elaboration cap, reported by the fallback for a refused group
+    (("check-group", "C(600)"),
+     "717779a4237d9439b29bb2355b53253496ce6003e25f8b24c9eb463ec08cd399", {}),
 ]
 
 
