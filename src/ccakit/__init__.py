@@ -46,7 +46,6 @@ from .engine import (
     arc_lift_harness,
     colour_preserving_automorphisms,
     is_affine,
-    is_arc_regular,
     is_cca_graph,
     is_cca_group,
     is_colour_preserving,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .engine import Check, Verdict, VerdictKind, is_affine, is_arc_regular, \
+from .engine import Check, Verdict, VerdictKind, is_affine, \
     is_colour_preserving
 from .errors import InternalInconsistencyError, PipelineError
 from .graphs import Arc, CayleyColouredGraph, ColouredGraph, cayley_graph, \
@@ -179,12 +179,12 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
     checks.append(Check("actors", True,
                         f"|G| = {actors.g.order}, |H| = {actors.h.order}"))
 
-    if not is_arc_regular(actors.graph, actors.g):
-        raise PipelineError("arc-regular", "G is not arc-regular on K_{n,n}")
+    try:
+        labeling, cg, _ = knn_cayley_form(actors)
+    except ValueError as exc:
+        raise PipelineError("arc-regular", str(exc)) from exc
     checks.append(Check("arc-regular", True,
                         f"{actors.g.order} arcs, one per element"))
-
-    labeling, cg, _ = knn_cayley_form(actors)
     checks.append(Check("cayley-form", True,
                         f"{cg.vertex_count} vertices, connection "
                         "{tau} u {rho2^k}"))

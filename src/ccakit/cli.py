@@ -21,8 +21,9 @@ from pathlib import Path
 from . import report as rep
 from . import speclang as lang
 from .bipartite import cyclic_dihedral_witness, double_dihedral_witness, knn_actors
-from .engine import (Check, Verdict, VerdictKind, arc_lift_harness,
-                     is_cca_graph, is_cca_group, is_complete_colour_pair)
+from .engine import (Check, SearchStats, Verdict, VerdictKind,
+                     arc_lift_harness, is_cca_graph, is_cca_group,
+                     is_complete_colour_pair)
 from .errors import (CapExceededError, InternalInconsistencyError,
                      PipelineError, SpecElabError, SpecSyntaxError)
 from .graphs import CayleyColouredGraph, cayley_graph
@@ -210,19 +211,27 @@ def _task_slug(args) -> str:
 
 def _finish(args, task_str: str, slug_prefix: str, v: Verdict) -> int:
     rep.confirm_witness(v, note=args.verify)
-    payload = rep.build_report(task_str, v, seedless=args.seedless)
-    text = rep.to_json(payload)
+    return _emit(args, task_str, slug_prefix, [v], v.context,
+                 verdict=rep.verdict_payload(v))
+
+
+def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
+          context, **body) -> int:
+    """Print the report on ``results``, write the --out files, and pick the
+    exit code: 2 under --strict when a cap blocked any of the results."""
+    stats = SearchStats()
+    for v in results:
+        stats.add(v.stats)
+    text = rep.to_json(rep.build_report(task_str, stats, args.seedless,
+                                        **body))
     sys.stdout.write(text)
     if args.out:
         slug = slug_prefix + _task_slug(args)
-        dot_text = None
-        if args.emit in ("dot", "both") and isinstance(
-                v.context, CayleyColouredGraph):
-            dot_text = rep.render_dot(v.context.graph, slug)
+        dot_text = (rep.render_dot(context.graph, slug) if args.emit != "json"
+                    and isinstance(context, CayleyColouredGraph) else None)
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
-    if v.kind is VerdictKind.UNKNOWN_CAP and args.strict:
-        return 2
-    return 0
+    capped = any(v.kind is VerdictKind.UNKNOWN_CAP for v in results)
+    return 2 if capped and args.strict else 0
 
 
 # ---- census ---------------------------------------------------------------
@@ -279,10 +288,7 @@ def _cmd_census(args, task_str: str, slug_prefix: str) -> int:
     a, b = _parse_orders(args.orders)
     if args.emit in ("dot", "both"):
         raise _UsageError("census has no single graph to draw; use --emit json")
-    rows = []
-    nodes = 0
-    millis = 0.0
-    capped = False
+    results, rows = [], []
     for label, order in _census_catalog(a, b):
         try:
             g = lang.elaborate(lang.parse_expr(label), {})
@@ -291,18 +297,9 @@ def _cmd_census(args, task_str: str, slug_prefix: str) -> int:
             v = Verdict(VerdictKind.UNKNOWN_CAP,
                         [Check("cap", False, str(exc))])
         rep.confirm_witness(v, note=args.verify)
-        capped = capped or v.kind is VerdictKind.UNKNOWN_CAP
-        nodes += v.stats.nodes
-        millis += v.stats.millis
+        results.append(v)
         rows.append(rep.census_row(label, order, v))
-    payload = rep.build_census_report(task_str, rows, nodes, millis,
-                                      seedless=args.seedless)
-    text = rep.to_json(payload)
-    sys.stdout.write(text)
-    if args.out:
-        slug = slug_prefix + _task_slug(args)
-        rep.write_outputs(args.out, slug, text, None, args.emit)
-    return 2 if capped and args.strict else 0
+    return _emit(args, task_str, slug_prefix, results, None, verdicts=rows)
 
 
 # ---- script files ---------------------------------------------------------

@@ -16,11 +16,12 @@ from itertools import combinations
 
 from . import kernels
 from .errors import InternalInconsistencyError
-from .graphs import (CayleyColouredGraph, ColouredGraph, cayley_graph,
+from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, Permutation, automorphisms, closure,
                      greedy_closure, inverse_classes, q8_c2n_isomorphism,
                      recognize_dicyclic)
+from .labeling import arc_labeling, cayley_form, induced_vertex_map
 
 
 class VerdictKind(str, Enum):
@@ -254,7 +255,9 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     its orbit, so each orbit is examined once, at its least member.  Aut(g)
     is listed up to 65,536 elements; above that every subset is walked.
     ``cap`` bounds the connection sets examined: reaching it before the walk
-    ends or a witness turns up returns unknown-cap instead of CCA.
+    ends or a witness turns up returns unknown-cap instead of CCA.  Unions
+    of inverse classes are valid connection sets, so each orbit leader's
+    graph is built directly; its generating set says if it is connected.
     """
     cap = _ENUM_CAP if cap is None else cap
     if cap < 1:
@@ -264,7 +267,7 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     classes = inverse_classes(g)
 
     if g.order == 1:
-        cg = cayley_graph(g, [])
+        cg = CayleyColouredGraph(g, ())
         v = is_cca_graph(cg)
         checks.append(Check("trivial-group", True, "only the empty graph"))
         return Verdict(v.kind, checks, context=cg, stats=v.stats)
@@ -292,7 +295,8 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
                          for m in class_maps)
             ahead.discard(combo)
             conn = tuple(sorted(c for k in combo for c in classes[k]))
-            if not g.generates(conn):
+            cg = CayleyColouredGraph(g, conn)
+            if not cg.connected:
                 continue
             if processed >= cap:
                 checks.append(Check("connection-sets-examined", False,
@@ -301,7 +305,6 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
                                     f"stopped at cap {cap}"))
                 return Verdict(VerdictKind.UNKNOWN_CAP, checks, stats=stats)
             processed += 1
-            cg = cayley_graph(g, conn)
             v = is_cca_graph(cg)
             stats.add(v.stats)
             if v.kind is VerdictKind.NON_CCA:
@@ -366,8 +369,8 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                         f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    aut = colour_preserving_automorphisms(kg)
-    a0 = aut.element_set()
+    images, _, stats = _searched_group(kg, range(ghat.order))
+    a0 = frozenset(images)
     checks.append(Check("colour-group-computed", True,
                         f"order {len(a0)} on the complete colour graph"))
 
@@ -433,32 +436,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
 
     ok = g_in_b and b_in_a0 and (bullet_1 or bullet_2 or bullet_3)
     if not ok:
-        return Verdict(VerdictKind.PAIR_NO, checks, stats=aut.stats)
+        return Verdict(VerdictKind.PAIR_NO, checks, stats=stats)
     return Verdict(VerdictKind.PAIR_YES, checks, witness=witness,
-                   context=kg, stats=aut.stats)
-
-
-def is_arc_regular(g: ColouredGraph, grp: FiniteGroup) -> bool:
-    """Exactly one group element carries any arc to any other arc?
-
-    Every realization permutation must be a graph automorphism (raises
-    otherwise, naming the offender); regularity is transitivity on arcs
-    plus |grp| equal to the arc count.
-    """
-    if grp.realization is None:
-        raise ValueError("group needs a permutation realization")
-    if grp.realization[0].degree != g.vertex_count:
-        raise ValueError("realization degree does not match the graph")
-    bad = g.first_non_automorphism(grp.realization)
-    if bad is not None:
-        raise ValueError(
-            f"element {grp.elements[bad]} is not a graph automorphism")
-    arc_count = 2 * g.edge_count
-    if grp.order != arc_count or not arc_count:
-        return False
-    u, v = g.edges()[0]
-    orbit = {(p.images[u], p.images[v]) for p in grp.realization}
-    return len(orbit) == arc_count
+                   context=kg, stats=stats)
 
 
 def local_action(grp: FiniteGroup, g: ColouredGraph, v: int) -> FiniteGroup:
@@ -498,11 +478,10 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     transported through the arc labeling, preserves the colours of the
     Cayley form of the line graph of the subdivision of g.
 
-    A failed hypothesis returns hypotheses-fail; hypotheses passing but the
+    Arc-regularity is certified by labelling the arcs from ``base_arc``.  A
+    failed hypothesis returns hypotheses-fail; hypotheses passing but the
     conclusion failing raises, since the mathematics guarantees it.
     """
-    from .labeling import arc_labeling, cayley_form, induced_vertex_map
-
     checks: list[Check] = []
     stats = SearchStats()
 
@@ -515,12 +494,9 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     checks.append(Check("connected", True, ""))
 
     try:
-        regular = is_arc_regular(g, grp)
+        labeling = arc_labeling(g, grp, base_arc)
     except ValueError as exc:
         return fail("arc-regular", str(exc))
-    if not regular:
-        return fail("arc-regular",
-                    f"|grp| = {grp.order} vs {2 * g.edge_count} arcs")
     checks.append(Check("arc-regular", True, f"{grp.order} arcs"))
 
     if h.realization is None:
@@ -550,7 +526,6 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     checks.append(Check("local-pairs", True,
                         f"complete colour pair at all {g.vertex_count} vertices"))
 
-    labeling = arc_labeling(g, grp, base_arc)
     cg, _, _ = cayley_form(labeling)
     bad = 0
     for p in h.realization:

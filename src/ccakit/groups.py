@@ -157,17 +157,16 @@ class FiniteGroup:
         return FiniteGroup([self.elements[g] for g in idx], table,
                            realization=realization)
 
-    def validate(self, check_associativity: bool = True) -> None:
+    def validate(self) -> None:
         """Exhaustive axiom check; associativity costs order-cubed."""
-        if check_associativity:
-            flat = [x for row in self.table for x in row]
-            bad = kernels.check_assoc(self.order, flat)
-            if bad != -1:
-                k = bad % self.order
-                ij = bad // self.order
-                raise ValueError(
-                    f"associativity fails at ({ij // self.order}, "
-                    f"{ij % self.order}, {k})")
+        flat = [x for row in self.table for x in row]
+        bad = kernels.check_assoc(self.order, flat)
+        if bad != -1:
+            k = bad % self.order
+            ij = bad // self.order
+            raise ValueError(
+                f"associativity fails at ({ij // self.order}, "
+                f"{ij % self.order}, {k})")
         if self.realization is not None:
             seen = set()
             for p in self.realization:

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 from . import __version__
-from .engine import Check, Verdict, VerdictKind, replay_witness
+from .engine import Check, SearchStats, Verdict, VerdictKind, replay_witness
 from .errors import InternalInconsistencyError
 from .graphs import ColouredGraph
 
@@ -37,25 +37,16 @@ def verdict_payload(v: Verdict) -> dict:
     }
 
 
-def build_report(task: str, v: Verdict, seedless: bool = False) -> dict:
+def build_report(task: str, stats: SearchStats, seedless: bool = False,
+                 **body) -> dict:
+    """The report around ``body``: one ``verdict``, or a census's
+    ``verdicts``, one row per group."""
     return {
         "version": __version__,
         "task": task,
-        "verdict": verdict_payload(v),
-        "stats": {"nodes": v.stats.nodes,
-                  "millis": 0 if seedless else round(v.stats.millis, 3)},
-    }
-
-
-def build_census_report(task: str, rows: list[dict], nodes: int,
-                        millis: int, seedless: bool = False) -> dict:
-    """Aggregate report: one verdict row per group instead of one verdict."""
-    return {
-        "version": __version__,
-        "task": task,
-        "verdicts": rows,
-        "stats": {"nodes": nodes,
-                  "millis": 0 if seedless else round(millis, 3)},
+        **body,
+        "stats": {"nodes": stats.nodes,
+                  "millis": 0 if seedless else round(stats.millis, 3)},
     }
 
 

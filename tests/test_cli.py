@@ -153,6 +153,18 @@ def test_census_report(capsys):
     assert orders == sorted(orders)
 
 
+def test_census_strict_exits_2_when_a_row_is_capped(capsys):
+    code, out, _ = run(capsys, "census", "--orders", "16..16", "--cap", "2",
+                       "--strict")
+    assert code == 2
+    rows = {r["group"]: r["verdict"]["kind"]
+            for r in json.loads(out)["verdicts"]}
+    assert rows["C(16)"] == rows["D(8)"] == "unknown-cap"
+    code, plain, _ = run(capsys, "census", "--orders", "16..16", "--cap", "2")
+    assert code == 0
+    assert json.loads(plain)["verdicts"] == json.loads(out)["verdicts"]
+
+
 def test_script_files(tmp_path, capsys):
     spec = tmp_path / "run.spec"
     spec.write_text(

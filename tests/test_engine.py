@@ -9,13 +9,15 @@ import pytest
 from ccakit import engine
 from ccakit.engine import (VerdictKind, arc_lift_harness,
                            colour_preserving_automorphisms, is_affine,
-                           is_arc_regular, is_cca_graph, is_cca_group,
-                           is_colour_preserving, is_complete_colour_pair,
-                           local_action, replay_witness)
-from ccakit.graphs import ColouredGraph, cayley_graph, complete_colour_graph
-from ccakit.groups import (automorphisms, closure, cyclic, dihedral,
-                           direct_product, inverse_classes, left_regular,
-                           minimal_generating_sequence, quaternion)
+                           is_cca_graph, is_cca_group, is_colour_preserving,
+                           is_complete_colour_pair, local_action,
+                           replay_witness)
+from ccakit.graphs import (Arc, ColouredGraph, cayley_graph,
+                           complete_colour_graph)
+from ccakit.groups import (FiniteGroup, automorphisms, closure, cyclic,
+                           dihedral, direct_product, inverse_classes,
+                           left_regular, minimal_generating_sequence,
+                           quaternion)
 from ccakit.perm import Permutation
 from ccakit.speclang import (elaborate, elaborate_connection,
                              parse_connection, parse_expr)
@@ -241,17 +243,32 @@ def test_is_cca_group_matches_min_walk(expr, cap, monkeypatch):
     over all of Aut(G) keeps, in the same order, and reports the same."""
     g = elaborate(parse_expr(expr), {})
     examined = []
+    verdict_of = engine.is_cca_graph
 
-    def recording(group, conn):
-        examined.append(tuple(conn))
-        return cayley_graph(group, conn)
+    def recording(cg):
+        examined.append(cg.connection)
+        return verdict_of(cg)
 
-    monkeypatch.setattr(engine, "cayley_graph", recording)
+    monkeypatch.setattr(engine, "is_cca_graph", recording)
     v = is_cca_group(g, cap=cap)
     expected, expected_examined = min_walk_verdict(
         g, engine._ENUM_CAP if cap is None else cap)
     assert examined == expected_examined
     assert _report(v) == _report(expected)
+
+
+@pytest.mark.parametrize("expr", ["Q8", "D(6)", "C(3) x D(3)"])
+def test_is_cca_group_closes_each_connection_set_once(expr, monkeypatch):
+    """The walk reads connectivity off each graph's own generating set and
+    never asks the group whether a connection set generates."""
+    g = elaborate(parse_expr(expr), {})
+    expected, _ = min_walk_verdict(g, engine._ENUM_CAP)
+
+    def refuse(self, indices):
+        raise AssertionError("is_cca_group called FiniteGroup.generates")
+
+    monkeypatch.setattr(FiniteGroup, "generates", refuse)
+    assert _report(is_cca_group(g)) == _report(expected)
 
 
 def test_cap_counts_only_connection_sets():
@@ -390,16 +407,6 @@ def test_pair_rejects_degenerate_inputs():
         is_complete_colour_pair(cyclic(4), left_regular(cyclic(4)))
 
 
-def test_is_arc_regular():
-    hexagon = cayley_graph(cyclic(6), [1, 5]).graph
-    rot = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    flip = Permutation((0, 5, 4, 3, 2, 1))
-    assert is_arc_regular(hexagon, closure([rot, flip]))  # order 12 = arcs
-    assert not is_arc_regular(hexagon, closure([rot]))  # too small
-    with pytest.raises(ValueError, match="automorphism"):
-        is_arc_regular(hexagon, closure([Permutation((1, 0, 2, 3, 4, 5))]))
-
-
 def test_local_action_sizes():
     hexagon = cayley_graph(cyclic(6), [1, 5]).graph
     rot = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
@@ -414,7 +421,18 @@ def test_harness_reports_failed_hypotheses():
     rot_only = closure([rot])
     v = arc_lift_harness(hexagon, rot_only, rot_only)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
-    assert any(c.name == "arc-regular" and not c.passed for c in v.checks)
+    last = v.checks[-1]
+    assert (last.name, last.passed, last.detail) == (
+        "arc-regular", False, "not arc-regular: |G| = 6, 12 arcs")
+
+    # a group that is not made of graph automorphisms names its offender
+    swap = closure([Permutation((1, 0, 2, 3, 4, 5))])
+    v = arc_lift_harness(hexagon, swap, swap)
+    assert v.kind is VerdictKind.HYPOTHESES_FAIL
+    last = v.checks[-1]
+    assert (last.name, last.passed) == ("arc-regular", False)
+    assert last.detail.startswith("element ")
+    assert last.detail.endswith(" is not a graph automorphism")
 
     # arc-regular holds for the dihedral action, but the local pairs are
     # degenerate (|local G| = 2 < 3), which must surface as a failed check,
@@ -423,6 +441,14 @@ def test_harness_reports_failed_hypotheses():
     v = arc_lift_harness(hexagon, full, full)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
     assert any(c.name == "local-pairs" and not c.passed for c in v.checks)
+
+    # the labelling certifies arc-regularity, so a base arc that is not an
+    # edge fails that hypothesis
+    v = arc_lift_harness(hexagon, full, full, base_arc=Arc(0, 2))
+    assert v.kind is VerdictKind.HYPOTHESES_FAIL
+    last = v.checks[-1]
+    assert (last.name, last.passed, last.detail) == (
+        "arc-regular", False, "Arc(tail=0, head=2) is not an arc of the graph")
 
     # an overgroup that moves an edge onto a non-edge fails its own check
     bigger = closure([*full.realization, Permutation((3, 1, 2, 0, 4, 5))])

@@ -2,11 +2,13 @@
 
 import pytest
 
-from ccakit.bipartite import (cyclic_dihedral_witness, double_dihedral,
-                              double_dihedral_witness, gamma, knn_actors,
-                              knn_cayley_form)
+from ccakit.bipartite import (KnnActors, cyclic_dihedral_witness,
+                              double_dihedral, double_dihedral_witness, gamma,
+                              knn_actors, knn_cayley_form)
 from ccakit.engine import (VerdictKind, is_affine, is_colour_preserving,
                            local_action, replay_witness)
+from ccakit.errors import PipelineError
+from ccakit.graphs import Arc
 from ccakit.groups import are_isomorphic, dihedral
 from ccakit.labeling import induced_vertex_map
 from ccakit.perm import Permutation, compose
@@ -84,6 +86,15 @@ def test_transported_reflection_witness(n):
     assert not is_affine(cg, v.witness)[0]
     assert replay_witness(v)
     assert v.data["vertices"] == 2 * n * n
+
+
+def test_failed_arc_labelling_is_an_arc_regular_stage_error(monkeypatch):
+    """Arc-regularity is certified by the labelling; its refusal ends the
+    pipeline at the arc-regular stage (exit 3 from the CLI)."""
+    monkeypatch.setattr(KnnActors, "base_arc", property(lambda a: Arc(0, 1)))
+    with pytest.raises(PipelineError, match="not an arc") as info:
+        cyclic_dihedral_witness(3)
+    assert info.value.stage == "arc-regular"
 
 
 def test_translations_transport_to_affine_maps():
