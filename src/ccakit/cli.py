@@ -227,8 +227,8 @@ def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
     sys.stdout.write(text)
     if args.out:
         slug = slug_prefix + _task_slug(args)
-        dot_text = (rep.render_dot(context.graph, slug) if args.emit != "json"
-                    and isinstance(context, CayleyColouredGraph) else None)
+        draw = args.emit != "json" and isinstance(context, CayleyColouredGraph)
+        dot_text = rep.render_dot(context.graph, slug) if draw else None
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
     capped = any(v.kind is VerdictKind.UNKNOWN_CAP for v in results)
     return 2 if capped and args.strict else 0
