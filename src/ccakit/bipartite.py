@@ -12,8 +12,8 @@ dihedral groups with its own non-affine colour-preserving map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .engine import Check, Verdict, VerdictKind, is_affine, \
     is_colour_preserving
@@ -36,19 +36,16 @@ def _stage(cond, msg):
         raise PipelineError("actors", msg)
 
 
-@dataclass(frozen=True)
 class KnnActors:
     """The named permutations on K_{n,n}, the group G they generate and,
     built on first read, the overgroup H."""
 
-    n: int
-    graph: ColouredGraph
-    rho1: Permutation
-    rho2: Permutation
-    sigma1: Permutation
-    sigma2: Permutation
-    tau: Permutation
-    g: FiniteGroup
+    def __init__(self, n: int, graph: ColouredGraph, rho1: Permutation,
+                 rho2: Permutation, sigma1: Permutation, sigma2: Permutation,
+                 tau: Permutation, g: FiniteGroup):
+        self.n, self.graph, self.g = n, graph, g
+        self.rho1, self.rho2, self.tau = rho1, rho2, tau
+        self.sigma1, self.sigma2 = sigma1, sigma2
 
     @property
     def base_arc(self) -> Arc:
@@ -236,8 +233,7 @@ def gamma(actors: KnnActors) -> Permutation:
     return p
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """Exponents (i1, i2, e, d) of rho1^i1 rho2^i2 tau^e gamma^d."""
 
     i1: int
@@ -246,8 +242,7 @@ class NormalForm:
     d: int
 
 
-@dataclass(frozen=True)
-class DoubleDihedral:
+class DoubleDihedral(NamedTuple):
     """<G, gamma> with its normal forms and its colour-respecting flip."""
 
     actors: KnnActors

@@ -218,7 +218,11 @@ def _finish(args, task_str: str, slug_prefix: str, v: Verdict) -> int:
 def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
           context, **body) -> int:
     """Print the report on ``results``, write the --out files, and pick the
-    exit code: 2 under --strict when a cap blocked any of the results."""
+    exit code: 2 under --strict when a cap blocked any of the results.  A
+    DOT request without a graph to draw fails before anything is output."""
+    draw = args.emit != "json"
+    if draw and not isinstance(context, CayleyColouredGraph):
+        raise ValueError("this task produced no graph to draw")
     stats = SearchStats()
     for v in results:
         stats.add(v.stats)
@@ -227,7 +231,6 @@ def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
     sys.stdout.write(text)
     if args.out:
         slug = slug_prefix + _task_slug(args)
-        draw = args.emit != "json" and isinstance(context, CayleyColouredGraph)
         dot_text = rep.render_dot(context.graph, slug) if draw else None
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
     capped = any(v.kind is VerdictKind.UNKNOWN_CAP for v in results)

@@ -10,9 +10,9 @@ formulations are computed and must agree.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 from . import kernels
 from .errors import InternalInconsistencyError
@@ -34,18 +34,17 @@ class VerdictKind(str, Enum):
     UNKNOWN_CAP = "unknown-cap"
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    millis: float = 0.0
+    def __init__(self, nodes: int = 0, millis: float = 0.0):
+        self.nodes = nodes
+        self.millis = millis
 
     def add(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
         self.millis += other.millis
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One line of a verdict narrative."""
 
     name: str
@@ -53,7 +52,6 @@ class Check:
     detail: str = ""
 
 
-@dataclass
 class Verdict:
     """Outcome of an analysis: a kind, a narrative, and maybe a witness.
 
@@ -62,16 +60,18 @@ class Verdict:
     scratch.  ``data`` carries extra machine-readable facts for reports.
     """
 
-    kind: VerdictKind
-    checks: list[Check] = field(default_factory=list)
-    witness: Permutation | None = None
-    context: object = None
-    stats: SearchStats = field(default_factory=SearchStats)
-    data: dict = field(default_factory=dict)
+    def __init__(self, kind: VerdictKind, checks: list[Check] | None = None,
+                 witness: Permutation | None = None, context: object = None,
+                 stats: SearchStats | None = None, data: dict | None = None):
+        self.kind = kind
+        self.checks = [] if checks is None else checks
+        self.witness = witness
+        self.context = context
+        self.stats = SearchStats() if stats is None else stats
+        self.data = {} if data is None else data
 
 
-@dataclass
-class AutGroupResult:
+class AutGroupResult(NamedTuple):
     """A group of colour-preserving automorphisms of one graph, listed in
     full: the whole colour-preserving group, or the stabilizer of vertex 0."""
 
@@ -139,8 +139,7 @@ def colour_preserving_automorphisms(g: ColouredGraph | CayleyColouredGraph
                           [Permutation(t) for t in kept], stats)
 
 
-@dataclass(frozen=True)
-class AffineDecomposition:
+class AffineDecomposition(NamedTuple):
     """p = (left translation by ``translation``) o ``automorphism``."""
 
     translation: int

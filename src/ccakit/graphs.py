@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -110,7 +109,6 @@ class ColouredGraph:
                 f"|E|={self.edge_count} colours={len(set(self._colour.values()))}>")
 
 
-@dataclass(frozen=True)
 class CayleyColouredGraph:
     """A Cayley graph with its natural inverse-pair colouring.
 
@@ -120,8 +118,9 @@ class CayleyColouredGraph:
     generating set, and the named ``graph`` for reports and replay.
     """
 
-    group: FiniteGroup
-    connection: tuple[int, ...]
+    def __init__(self, group: FiniteGroup, connection: tuple[int, ...]):
+        self.group = group
+        self.connection = connection
 
     @property
     def vertex_count(self) -> int:

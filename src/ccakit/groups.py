@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from . import kernels
 from .errors import CapExceededError
@@ -486,8 +486,7 @@ def left_regular(g: FiniteGroup) -> FiniteGroup:
                        name=f"L({g.name or '?'})")
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(NamedTuple):
     """A verified isomorphism source -> target as a full index map."""
 
     source: FiniteGroup
@@ -608,8 +607,7 @@ def automorphisms(g: FiniteGroup, limit: int | None = None
     return out
 
 
-@dataclass(frozen=True)
-class DicyclicWitness:
+class DicyclicWitness(NamedTuple):
     """An abelian index-2 subgroup A plus x with x^2 = y inverting A."""
 
     subgroup: tuple[int, ...]

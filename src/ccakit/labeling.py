@@ -9,7 +9,7 @@ Cayley graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError
 from .graphs import (Arc, CayleyColouredGraph, ColouredGraph, arcs,
@@ -17,8 +17,7 @@ from .graphs import (Arc, CayleyColouredGraph, ColouredGraph, arcs,
 from .groups import FiniteGroup, Permutation
 
 
-@dataclass(frozen=True)
-class ArcLabeling:
+class ArcLabeling(NamedTuple):
     """A bijection between arcs of ``graph`` and elements of ``group``."""
 
     graph: ColouredGraph

@@ -111,8 +111,6 @@ def write_outputs(out_dir: str | Path, slug: str, json_text: str,
         path.write_text(json_text)
         written.append(path)
     if emit in ("dot", "both"):
-        if dot_text is None:
-            raise ValueError("this task produced no graph to draw")
         path = out / f"{slug}.dot"
         path.write_text(dot_text)
         written.append(path)

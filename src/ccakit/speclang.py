@@ -13,7 +13,7 @@ syntax.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapExceededError, SpecElabError, SpecSyntaxError
 from .groups import (FiniteGroup, closure, cyclic, default_cap, dihedral,
@@ -26,8 +26,7 @@ _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
           "*": "STAR", "+": "PLUS", "-": "MINUS", "=": "EQUALS"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -76,91 +75,100 @@ def _tokenize(text: str, line_offset: int = 1) -> list[Token]:
     return out
 
 
-@dataclass(frozen=True)
-class Atom:
+def _node(cls):
+    """Equal by class and fields, ignoring the trailing source position."""
+    k = len(cls._fields) - (cls._fields[-1] in ("pos", "line"))
+    cls.__eq__ = lambda a, b: type(a) is type(b) and a[:k] == b[:k]
+    cls.__ne__ = lambda a, b: not a == b
+    cls.__hash__ = lambda a: hash(a[:k])
+    return cls
+
+
+@_node
+class Atom(NamedTuple):
     """One factor of a word: a generator name raised to an integer power."""
 
     name: str
     exp: int = 1
 
 
-@dataclass(frozen=True)
-class Word:
+@_node
+class Word(NamedTuple):
     atoms: tuple[Atom, ...]
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class Connection:
+@_node
+class Connection(NamedTuple):
     words: tuple[Word, ...]
     close_inverses: bool = False
 
 
-@dataclass(frozen=True)
-class ECyclic:
+@_node
+class ECyclic(NamedTuple):
     n: int
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EDihedral:
+@_node
+class EDihedral(NamedTuple):
     n: int
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EQ8:
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+@_node
+class EQ8(NamedTuple):
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EDih:
+@_node
+class EDih(NamedTuple):
     inner: object
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EDic:
+@_node
+class EDic(NamedTuple):
     inner: object
     word: Word
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EProduct:
+@_node
+class EProduct(NamedTuple):
     left: object
     right: object
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EWreath:
+@_node
+class EWreath(NamedTuple):
     inner: object
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class EPerms:
+@_node
+class EPerms(NamedTuple):
     """Explicit generators, each a product of cycles over points 0..d-1."""
 
     gens: tuple[tuple[tuple[int, ...], ...], ...]
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class ERef:
+@_node
+class ERef(NamedTuple):
     name: str
-    pos: tuple[int, int] = field(default=(1, 1), compare=False)
+    pos: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class Task:
+@_node
+class Task(NamedTuple):
     argv: tuple[str, ...]
-    line: int = field(default=1, compare=False)
+    line: int = 1
 
 
-@dataclass(frozen=True)
-class SpecProgram:
+@_node
+class SpecProgram(NamedTuple):
     declarations: tuple[tuple[str, object], ...]
     tasks: tuple[Task, ...]
 

@@ -1,7 +1,10 @@
 """Driver behaviour: verdicts on stdout, artifacts on disk, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +145,21 @@ def test_census_refuses_dot(tmp_path, capsys):
     assert code == 1
 
 
+def test_dot_without_a_graph_fails_before_any_output(tmp_path, capsys):
+    spec = tmp_path / "run.spec"
+    spec.write_text('check-group "C(7)"\n')
+    runs = [("check-group", "C(7)", "--emit", "dot"),
+            ("check-group", "C(7)", "--emit", "both", "--seedless"),
+            ("check-group", "C(40) x C(40)", "--emit", "both"),  # order cap
+            ("script", str(spec), "--emit", "both")]
+    for k, argv in enumerate(runs):
+        out_dir = tmp_path / f"out{k}"
+        code, out, err = run(capsys, *argv, "--out", str(out_dir))
+        assert (code, out) == (1, ""), argv
+        assert err == "error: this task produced no graph to draw\n"
+        assert not out_dir.exists()
+
+
 def test_census_report(capsys):
     d = run_json(capsys, "census", "--orders", "4..8")
     rows = {r["group"]: r["verdict"]["kind"] for r in d["verdicts"]}
@@ -214,6 +232,18 @@ def test_search_deeper_than_the_recursion_limit(capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert d["verdict"]["kind"] == "CCA"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    probe = ("import sys; before = set(sys.modules); import ccakit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} "
+             "& (set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):

@@ -7,11 +7,11 @@ from itertools import combinations, permutations
 import pytest
 
 from ccakit import engine
-from ccakit.engine import (VerdictKind, arc_lift_harness,
-                           colour_preserving_automorphisms, is_affine,
-                           is_cca_graph, is_cca_group, is_colour_preserving,
-                           is_complete_colour_pair, local_action,
-                           replay_witness)
+from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
+                           arc_lift_harness, colour_preserving_automorphisms,
+                           is_affine, is_cca_graph, is_cca_group,
+                           is_colour_preserving, is_complete_colour_pair,
+                           local_action, replay_witness)
 from ccakit.graphs import (Arc, ColouredGraph, cayley_graph,
                            complete_colour_graph)
 from ccakit.groups import (FiniteGroup, automorphisms, closure, cyclic,
@@ -467,6 +467,17 @@ def test_replay_witness_rejects_tampering():
     imgs[0], imgs[1] = imgs[1], imgs[0]
     v.witness = Permutation(imgs)
     assert not replay_witness(v)
+
+
+def test_verdicts_share_no_mutable_defaults():
+    a, b = Verdict(VerdictKind.CCA), Verdict(VerdictKind.CCA)
+    assert a.checks is not b.checks
+    assert a.data is not b.data
+    assert a.stats is not b.stats
+    a.checks.append(Check("search", True))
+    a.data["connection"] = [1]
+    a.stats.add(SearchStats(nodes=3))
+    assert (b.checks, b.data, b.stats.nodes) == ([], {}, 0)
 
 
 def test_replay_witness_needs_witness():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccakit.bipartite import (KnnActors, cyclic_dihedral_witness,
+from ccakit.bipartite import (KnnActors, NormalForm, cyclic_dihedral_witness,
                               double_dihedral, double_dihedral_witness, gamma,
                               knn_actors, knn_cayley_form)
 from ccakit.engine import (VerdictKind, is_affine, is_colour_preserving,
@@ -125,7 +125,10 @@ def test_double_dihedral_structure(n):
     dd = double_dihedral(a)
     assert dd.group.order == 4 * n * n
     for i in range(dd.group.order):
-        assert dd.assemble(dd.normal_form(i)) == i
+        nf = dd.normal_form(i)
+        assert dd.assemble(nf) == i
+        # a NormalForm is a dict key: a rebuilt equal one finds the index
+        assert dd.index_of_nf[NormalForm(nf.i1, nf.i2, nf.e, nf.d)] == i
 
 
 def test_rebasing_identity_by_hand():

@@ -2,8 +2,9 @@ import pytest
 
 from ccakit.errors import SpecElabError, SpecSyntaxError
 from ccakit.groups import are_isomorphic, dihedral, quaternion
-from ccakit.speclang import (Connection, EDic, EProduct, ERef, Word,
-                             elaborate, elaborate_connection, evaluate_word,
+from ccakit.speclang import (Atom, Connection, ECyclic, EDic, EDihedral,
+                             EProduct, ERef, Task, Word, elaborate,
+                             elaborate_connection, evaluate_word,
                              parse_connection, parse_expr, parse_program,
                              parse_word, print_connection, print_expr,
                              print_program)
@@ -41,6 +42,14 @@ def test_positions_do_not_affect_equality():
     a = parse_expr("C(3) x  D(3)")
     b = parse_expr("  C(3) x D(3)")
     assert a == b
+    assert hash(a) == hash(b)
+    assert ECyclic(3, pos=(1, 1)) == ECyclic(3, pos=(4, 2))
+    assert Task(("check-group", "G"), line=2) == Task(("check-group", "G"))
+    # nodes of different classes never compare equal, even with equal fields
+    assert ECyclic(3) != EDihedral(3)
+    assert not ECyclic(3) == EDihedral(3)
+    assert Atom("r", 2) != ("r", 2)
+    assert {parse_word("r^2 s", line=3): 1}[parse_word(" r^2*s")] == 1
 
 
 @pytest.mark.parametrize("text,line,col", [
