@@ -7,7 +7,7 @@ decides whether every one of them is affine (a left translation composed with
 a group automorphism).  Graphs and groups where that holds are called CCA.
 """
 
-from .perm import Permutation, compose
+from .perm import compose
 from .groups import (
     FiniteGroup,
     are_isomorphic,

@@ -22,13 +22,13 @@ from .graphs import Arc, CayleyColouredGraph, ColouredGraph, cayley_graph, \
     complete_bipartite
 from .groups import (FiniteGroup, closure, cyclic, dihedral, direct_product,
                      extend_homomorphism, wreath_c2)
-from .perm import Permutation, compose
+from .perm import compose, inverse, power
 from .labeling import ArcLabeling, arc_labeling, cayley_form as _cayley_form, \
     induced_vertex_map
 
 
 def _index_map(group: FiniteGroup) -> dict:
-    return {p.images: i for i, p in enumerate(group.realization)}
+    return {p: i for i, p in enumerate(group.realization)}
 
 
 def _stage(cond, msg):
@@ -40,9 +40,9 @@ class KnnActors:
     """The named permutations on K_{n,n}, the group G they generate and,
     built on first read, the overgroup H."""
 
-    def __init__(self, n: int, graph: ColouredGraph, rho1: Permutation,
-                 rho2: Permutation, sigma1: Permutation, sigma2: Permutation,
-                 tau: Permutation, g: FiniteGroup):
+    def __init__(self, n: int, graph: ColouredGraph, rho1: tuple,
+                 rho2: tuple, sigma1: tuple, sigma2: tuple, tau: tuple,
+                 g: FiniteGroup):
         self.n, self.graph, self.g = n, graph, g
         self.rho1, self.rho2, self.tau = rho1, rho2, tau
         self.sigma1, self.sigma2 = sigma1, sigma2
@@ -57,9 +57,9 @@ class KnnActors:
         """Image tuple -> index in G, built once."""
         return _index_map(self.g)
 
-    def g_index(self, p: Permutation) -> int:
+    def g_index(self, p: tuple) -> int:
         try:
-            return self.g_map[p.images]
+            return self.g_map[p]
         except KeyError:
             raise ValueError("permutation is not an element of G") from None
 
@@ -75,7 +75,7 @@ class KnnActors:
         _stage(h.order == 8 * n * n, f"|H| = {h.order}, wanted {8 * n * n}")
         hmap = _index_map(h)
         wr = wreath_c2(dihedral(n), cap=8 * n * n)
-        images = [hmap[p.images] for p in gens]
+        images = [hmap[p] for p in gens]
         wr_gens = [wr.generators[x] for x in ("r1", "s1", "r2", "s2", "t")]
         full = extend_homomorphism(wr, wr_gens, images, h)
         _stage(full is not None and len(set(full)) == h.order,
@@ -100,38 +100,38 @@ def knn_actors(n: int) -> KnnActors:
         imgs = ident[:]
         for i in range(n):
             imgs[i] = (i + shift) % n
-        return Permutation(imgs)
+        return tuple(imgs)
 
     def b_cycle(shift):
         imgs = ident[:]
         for i in range(n):
             imgs[n + i] = n + (i + shift) % n
-        return Permutation(imgs)
+        return tuple(imgs)
 
     rho1 = a_cycle(1)
     rho2 = b_cycle(1)
-    sigma1 = Permutation([(-i) % n if i < n else i for i in ident])
-    sigma2 = Permutation([i if i < n else n + (n - (i - n)) % n
-                          for i in ident])
-    tau = Permutation([(i + n) % pts for i in ident])
+    sigma1 = tuple((-i) % n if i < n else i for i in ident)
+    sigma2 = tuple(i if i < n else n + (n - (i - n)) % n for i in ident)
+    tau = tuple((i + n) % pts for i in ident)
 
     _stage(compose(tau, compose(rho1, tau)) == rho2, "tau rho1 tau != rho2")
     _stage(compose(tau, compose(sigma1, tau)) == sigma2,
            "tau sigma1 tau != sigma2")
-    _stage({rho2 ** (2 * k) for k in range(n)}
-           == {rho2 ** k for k in range(n)}, "rho2^2 generates less than rho2")
+    _stage({power(rho2, 2 * k) for k in range(n)}
+           == {power(rho2, k) for k in range(n)},
+           "rho2^2 generates less than rho2")
 
     g = closure([rho1, rho2, tau], cap=2 * n * n,
                 names=["rho1", "rho2", "tau"], name=f"G({n})")
     _stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
     actors = KnnActors(n, complete_bipartite(n, n), rho1, rho2, sigma1,
                        sigma2, tau, g)
-    _stage(sigma2.images not in actors.g_map, "sigma2 lies inside G")
+    _stage(sigma2 not in actors.g_map, "sigma2 lies inside G")
 
     # G is C_n x D_2n: the central factor is <rho1 rho2>
     model = direct_product(cyclic(n), dihedral(n), cap=2 * n * n)
     images = [actors.g_index(compose(rho1, rho2)),
-              actors.g_index(compose(rho1.inverse(), rho2)),
+              actors.g_index(compose(inverse(rho1), rho2)),
               actors.g_index(tau)]
     gens = [model.generators[x] for x in ("r1", "r2", "s2")]
     full = extend_homomorphism(model, gens, images, g)
@@ -143,7 +143,7 @@ def knn_actors(n: int) -> KnnActors:
 def _expected_connection(actors: KnnActors) -> list[int]:
     """Indices in G of tau and of every nontrivial power of rho2."""
     conn = [actors.g_index(actors.tau)]
-    conn.extend(actors.g_index(actors.rho2 ** k)
+    conn.extend(actors.g_index(power(actors.rho2, k))
                 for k in range(1, actors.n))
     return sorted(conn)
 
@@ -199,8 +199,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
     # the conjugate sigma2 tau sigma2 matches tau on the base arc only
     conj = compose(actors.sigma2, compose(actors.tau, actors.sigma2))
     ta, tb = actors.base_arc
-    probe_ok = (conj.images[ta] == actors.tau.images[ta]
-                and conj.images[tb] == actors.tau.images[tb]
+    probe_ok = (conj[ta] == actors.tau[ta] and conj[tb] == actors.tau[tb]
                 and conj != actors.tau)
     if not probe_ok:
         raise PipelineError("witness", "conjugation probe failed")
@@ -214,7 +213,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
                          "connection": conn_names})
 
 
-def gamma(actors: KnnActors) -> Permutation:
+def gamma(actors: KnnActors) -> tuple[int, ...]:
     """sigma1 sigma2 tau: swaps the parts with a flip, squares to identity.
 
     Commutes with tau and with rho1^-1 rho2, inverts rho1 rho2, and lies
@@ -222,12 +221,12 @@ def gamma(actors: KnnActors) -> Permutation:
     """
     p = compose(actors.sigma1, compose(actors.sigma2, actors.tau))
     u = compose(actors.rho1, actors.rho2)
-    v = compose(actors.rho1.inverse(), actors.rho2)
-    ok = (compose(p, p).is_identity()
+    v = compose(inverse(actors.rho1), actors.rho2)
+    ok = (compose(p, p) == tuple(range(len(p)))
           and compose(p, actors.tau) == compose(actors.tau, p)
           and compose(p, v) == compose(v, p)
-          and compose(p, compose(u, p)) == u.inverse()
-          and p.images not in actors.g_map)
+          and compose(p, compose(u, p)) == inverse(u)
+          and p not in actors.g_map)
     if not ok:
         raise PipelineError("gamma", "sigma1 sigma2 tau relations failed")
     return p
@@ -246,7 +245,7 @@ class DoubleDihedral(NamedTuple):
     """<G, gamma> with its normal forms and its colour-respecting flip."""
 
     actors: KnnActors
-    gamma: Permutation
+    gamma: tuple[int, ...]
     group: FiniteGroup
     index_map: dict  # image tuple -> index in <G, gamma>
     nf_of_index: tuple
@@ -260,7 +259,7 @@ class DoubleDihedral(NamedTuple):
         key = NormalForm(nf.i1 % n, nf.i2 % n, nf.e % 2, nf.d % 2)
         return self.index_of_nf[key]
 
-    def phi(self) -> Permutation:
+    def phi(self) -> tuple[int, ...]:
         """The map fixing i1, e, d and negating i2, computed two ways.
 
         Route one works in exponents.  Route two transports sigma2 along
@@ -275,11 +274,11 @@ class DoubleDihedral(NamedTuple):
 
         labeling = arc_labeling(actors.graph, actors.g, actors.base_arc)
         t_sigma2 = induced_vertex_map(actors.sigma2, labeling)
-        g_in_big = [self.index_map[p.images] for p in actors.g.realization]
+        g_in_big = [self.index_map[p] for p in actors.g.realization]
         gidx = self.gamma_index
         by_transport = [0] * self.group.order
         for gi in range(actors.g.order):
-            moved = g_in_big[t_sigma2.images[gi]]
+            moved = g_in_big[t_sigma2[gi]]
             here = g_in_big[gi]
             by_transport[here] = moved
             by_transport[self.group.mult(here, gidx)] = \
@@ -287,11 +286,11 @@ class DoubleDihedral(NamedTuple):
         if by_exponents != by_transport:
             raise InternalInconsistencyError(
                 "exponent route and transport route disagree")
-        return Permutation(by_exponents)
+        return tuple(by_exponents)
 
     @property
     def gamma_index(self) -> int:
-        return self.index_map[self.gamma.images]
+        return self.index_map[self.gamma]
 
 
 def double_dihedral(actors: KnnActors) -> DoubleDihedral:
@@ -315,18 +314,18 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
 
     bmap = _index_map(big)
     model = direct_product(dihedral(n), dihedral(n), cap=4 * n * n)
-    images = [bmap[compose(actors.rho1, actors.rho2).images],
-              bmap[gam.images],
-              bmap[compose(actors.rho1.inverse(), actors.rho2).images],
-              bmap[actors.tau.images]]
+    images = [bmap[compose(actors.rho1, actors.rho2)],
+              bmap[gam],
+              bmap[compose(inverse(actors.rho1), actors.rho2)],
+              bmap[actors.tau]]
     gens = [model.generators[x] for x in ("r1", "s1", "r2", "s2")]
     full = extend_homomorphism(model, gens, images, big)
     if full is None or len(set(full)) != big.order:
         raise PipelineError("double-dihedral",
                             "extension does not match D_2n x D_2n")
 
-    rho1_pow = [actors.rho1 ** k for k in range(n)]
-    rho2_pow = [actors.rho2 ** k for k in range(n)]
+    rho1_pow = [power(actors.rho1, k) for k in range(n)]
+    rho2_pow = [power(actors.rho2, k) for k in range(n)]
     nf_of_index: list = [None] * big.order
     index_of_nf: dict = {}
     for i1 in range(n):
@@ -337,7 +336,7 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                 p12e = compose(p12, actors.tau) if e else p12
                 for d in (0, 1):
                     p = compose(p12e, gam) if d else p12e
-                    idx = bmap[p.images]
+                    idx = bmap[p]
                     if nf_of_index[idx] is not None:
                         raise InternalInconsistencyError(
                             "normal form is not unique")
@@ -346,8 +345,8 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                     index_of_nf[nf] = idx
 
     inv2 = pow(2, -1, n)
-    u_pow = [compose(actors.rho1, actors.rho2) ** k for k in range(n)]
-    v_pow = [compose(actors.rho1.inverse(), actors.rho2) ** k
+    u_pow = [power(compose(actors.rho1, actors.rho2), k) for k in range(n)]
+    v_pow = [power(compose(inverse(actors.rho1), actors.rho2), k)
              for k in range(n)]
     for a in range(n):
         for b in range(n):
@@ -377,8 +376,8 @@ def double_dihedral_witness(n: int) -> Verdict:
                         f"order {dd.group.order}, matches D_2n x D_2n"))
 
     bmap = dd.index_map
-    conn = sorted({bmap[actors.tau.images], dd.gamma_index}
-                  | {bmap[(actors.rho2 ** k).images] for k in range(1, n)})
+    conn = sorted({bmap[actors.tau], dd.gamma_index}
+                  | {bmap[power(actors.rho2, k)] for k in range(1, n)})
     cg = cayley_graph(dd.group, conn)
     checks.append(Check("graph", True,
                         f"{cg.vertex_count} vertices, "
@@ -398,11 +397,11 @@ def double_dihedral_witness(n: int) -> Verdict:
     checks.append(Check("witness-not-affine", True, ""))
 
     # phi fixes the identity, so affine would mean multiplicative; it is not
-    tau_i = bmap[actors.tau.images]
-    rho2_i = bmap[actors.rho2.images]
-    lhs = phi.images[dd.group.mult(tau_i, rho2_i)]
-    rhs = dd.group.mult(phi.images[tau_i], phi.images[rho2_i])
-    if phi.images[dd.group.identity] != dd.group.identity or lhs == rhs:
+    tau_i = bmap[actors.tau]
+    rho2_i = bmap[actors.rho2]
+    lhs = phi[dd.group.mult(tau_i, rho2_i)]
+    rhs = dd.group.mult(phi[tau_i], phi[rho2_i])
+    if phi[dd.group.identity] != dd.group.identity or lhs == rhs:
         raise PipelineError("witness", "multiplicativity probe failed")
     checks.append(Check("multiplicativity-probe", True,
                         "phi(tau rho2) != phi(tau) phi(rho2)"))

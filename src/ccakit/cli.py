@@ -28,7 +28,6 @@ from .errors import (CapExceededError, InternalInconsistencyError,
                      PipelineError, SpecElabError, SpecSyntaxError)
 from .graphs import CayleyColouredGraph, cayley_graph
 from .groups import FiniteGroup, closure, left_regular
-from .perm import Permutation
 
 
 class _UsageError(Exception):
@@ -189,8 +188,8 @@ def _realize_pair_b(args, g: FiniteGroup, ghat: FiniteGroup,
     if isinstance(b_ast, lang.EDih) and lang.print_expr(b_ast.inner) == g_text:
         if not g.is_abelian():
             raise SpecElabError("Dih(G) as a point group needs abelian G")
-        gens = [Permutation(tuple(row)) for row in g.table]
-        gens.append(Permutation(tuple(g.inverse)))
+        gens = [tuple(row) for row in g.table]
+        gens.append(tuple(g.inverse))
         return closure(gens, name=f"Dih({g_text})")
     if isinstance(b_ast, lang.EPerms):
         return lang.elaborate(b_ast, env)

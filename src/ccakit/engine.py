@@ -14,11 +14,11 @@ from enum import Enum
 from itertools import combinations
 from typing import NamedTuple
 
-from . import kernels
+from . import kernels, perm
 from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
-from .groups import (FiniteGroup, Permutation, automorphisms, closure,
+from .groups import (FiniteGroup, automorphisms, closure,
                      greedy_closure, inverse_classes, q8_c2n_isomorphism,
                      recognize_dicyclic)
 from .labeling import arc_labeling, cayley_form, induced_vertex_map
@@ -55,13 +55,13 @@ class Check(NamedTuple):
 class Verdict:
     """Outcome of an analysis: a kind, a narrative, and maybe a witness.
 
-    ``witness`` is a full vertex-image permutation; ``context`` keeps the
+    ``witness`` is a full vertex-image tuple; ``context`` keeps the
     object the witness lives on so replay_witness can re-validate it from
     scratch.  ``data`` carries extra machine-readable facts for reports.
     """
 
     def __init__(self, kind: VerdictKind, checks: list[Check] | None = None,
-                 witness: Permutation | None = None, context: object = None,
+                 witness: tuple[int, ...] | None = None, context: object = None,
                  stats: SearchStats | None = None, data: dict | None = None):
         self.kind = kind
         self.checks = [] if checks is None else checks
@@ -76,8 +76,8 @@ class AutGroupResult(NamedTuple):
     full: the whole colour-preserving group, or the stabilizer of vertex 0."""
 
     graph: ColouredGraph | CayleyColouredGraph
-    elements: list[Permutation]
-    generators: list[Permutation]
+    elements: list[tuple[int, ...]]
+    generators: list[tuple[int, ...]]
     stats: SearchStats
 
     @property
@@ -85,17 +85,18 @@ class AutGroupResult(NamedTuple):
         return len(self.elements)
 
     def element_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(p.images for p in self.elements)
+        return frozenset(self.elements)
 
 
 def is_colour_preserving(g: ColouredGraph | CayleyColouredGraph,
-                         p: Permutation) -> bool:
-    """Does p map every edge to an edge of the same colour (and so every
-    non-edge to a non-edge)?"""
+                         p: tuple[int, ...]) -> bool:
+    """Does the bijection p map every edge to an edge of the same colour
+    (and so every non-edge to a non-edge)?"""
     n = g.vertex_count
-    if p.degree != n:
-        raise ValueError(f"degree {p.degree} does not match |V| = {n}")
-    return kernels.preserves(g.adjacency, g.pair_colours, p.images)
+    p = perm.bijection(p)
+    if len(p) != n:
+        raise ValueError(f"degree {len(p)} does not match |V| = {n}")
+    return kernels.preserves(g.adjacency, g.pair_colours, p)
 
 
 class _After:
@@ -135,20 +136,20 @@ def colour_preserving_automorphisms(g: ColouredGraph | CayleyColouredGraph
     image tuple; generators are a greedy generating subset.
     """
     images, kept, stats = _searched_group(g, range(g.vertex_count))
-    return AutGroupResult(g, [Permutation(t) for t in images],
-                          [Permutation(t) for t in kept], stats)
+    return AutGroupResult(g, images, kept, stats)
 
 
 class AffineDecomposition(NamedTuple):
     """p = (left translation by ``translation``) o ``automorphism``."""
 
     translation: int
-    automorphism: Permutation
+    automorphism: tuple[int, ...]
 
 
-def is_affine(cg: CayleyColouredGraph, p: Permutation
+def is_affine(cg: CayleyColouredGraph, p: tuple[int, ...]
               ) -> tuple[bool, AffineDecomposition | None]:
-    """Decide whether p is a translation composed with a group automorphism.
+    """Decide whether the bijection p is a translation composed with a
+    group automorphism.
 
     Computed twice, over a generating set T of the group: by splitting off
     the translation and testing the rest, alpha, for alpha(g*t) =
@@ -159,13 +160,13 @@ def is_affine(cg: CayleyColouredGraph, p: Permutation
     bug.
     """
     n = cg.group.order
-    if p.degree != n:
-        raise ValueError(f"degree {p.degree} does not match group order {n}")
-    alpha = _untranslated(cg, p.images)
+    p = perm.bijection(p)
+    if len(p) != n:
+        raise ValueError(f"degree {len(p)} does not match group order {n}")
+    alpha = _untranslated(cg, p)
     if alpha is None:
         return False, None
-    return True, AffineDecomposition(p.images[cg.group.identity],
-                                     Permutation(alpha))
+    return True, AffineDecomposition(p[cg.group.identity], tuple(alpha))
 
 
 def _untranslated(cg: CayleyColouredGraph, imgs) -> list[int] | None:
@@ -177,9 +178,7 @@ def _untranslated(cg: CayleyColouredGraph, imgs) -> list[int] | None:
     by_decomposition = all(alpha[table[i][t]] == table[a][alpha[t]]
                            for t in gens for i, a in enumerate(alpha))
     # route two: p must conjugate each generating translation to one
-    pinv = [0] * len(imgs)
-    for i, x in enumerate(imgs):
-        pinv[x] = i
+    pinv = perm.inverse(imgs)
     by_normalizer = all(conj == table[conj[g.identity]] for conj in (
         [imgs[table[t][i]] for i in pinv] for t in gens))
     if by_decomposition != by_normalizer:
@@ -221,7 +220,7 @@ def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
         alpha = _untranslated(cg, imgs)
         if alpha is None:
             if witness is None:
-                witness = Permutation(imgs)
+                witness = imgs
             continue
         for c in cg.connection:
             if alpha[c] not in (c, g.inverse[c]):
@@ -321,8 +320,8 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
 
 def _point_element_dictionaries(ghat: FiniteGroup):
     """Identify action points with group elements via the base point 0."""
-    degree = ghat.realization[0].degree
-    pt_of_elem = [ghat.realization[i].images[0] for i in range(ghat.order)]
+    degree = len(ghat.realization[0])
+    pt_of_elem = [p[0] for p in ghat.realization]
     elem_of_pt = [-1] * degree
     for i, p in enumerate(pt_of_elem):
         if elem_of_pt[p] != -1:
@@ -351,8 +350,8 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
         raise ValueError("both groups need permutation realizations")
     if ghat.order <= 2:
         raise ValueError("complete colour pairs need |G| >= 3")
-    degree = ghat.realization[0].degree
-    if b.realization[0].degree != degree:
+    degree = len(ghat.realization[0])
+    if len(b.realization[0]) != degree:
         raise ValueError("G and B act on different point sets")
     if ghat.order != degree:
         checks.append(Check("g-regular", False,
@@ -361,8 +360,8 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     pt_of_elem, elem_of_pt = _point_element_dictionaries(ghat)
     checks.append(Check("g-regular", True, f"regular on {degree} points"))
 
-    ghat_points = frozenset(p.images for p in ghat.realization)
-    b_points = frozenset(p.images for p in b.realization)
+    ghat_points = frozenset(ghat.realization)
+    b_points = frozenset(b.realization)
     g_in_b = ghat_points <= b_points
     checks.append(Check("g-subgroup-of-b", g_in_b,
                         f"|B| = {len(b_points)}"))
@@ -376,8 +375,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     # transport B from points to element indices
     b_elem = set()
     for p in b.realization:
-        imgs = p.images
-        b_elem.add(tuple(elem_of_pt[imgs[pt_of_elem[i]]]
+        b_elem.add(tuple(elem_of_pt[p[pt_of_elem[i]]]
                          for i in range(ghat.order)))
     b_in_a0 = b_elem <= a0
     checks.append(Check("b-within-colour-group", b_in_a0, ""))
@@ -393,7 +391,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
         inv_perm = tuple(ghat.inverse)
         bullet_1 = two_cosets and inv_perm in a0
         if bullet_1:
-            witness = Permutation(inv_perm)
+            witness = inv_perm
     checks.append(Check("abelian-inversion-shape", bullet_1, ""))
 
     bullet_2 = False
@@ -407,7 +405,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
             if sigma in a0:
                 bullet_2 = True
                 if witness is None:
-                    witness = Permutation(sigma)
+                    witness = sigma
                 break
     detail_2 = ("accepted via one structural witness (any witness counts)"
                 if bullet_2 else "")
@@ -430,7 +428,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                                  _After, limit=len(a0))
         bullet_3 = span == a0
         if bullet_3 and witness is None:
-            witness = Permutation(sigmas[0])
+            witness = sigmas[0]
     checks.append(Check("quaternion-reflections-shape", bullet_3, ""))
 
     ok = g_in_b and b_in_a0 and (bullet_1 or bullet_2 or bullet_3)
@@ -452,18 +450,17 @@ def local_action(grp: FiniteGroup, g: ColouredGraph, v: int) -> FiniteGroup:
     pos = {u: k for k, u in enumerate(nbrs)}
     seen: dict[tuple[int, ...], None] = {}
     for p in grp.realization:
-        if p.images[v] != v:
+        if p[v] != v:
             continue
         try:
-            restricted = tuple(pos[p.images[u]] for u in nbrs)
+            restricted = tuple(pos[p[u]] for u in nbrs)
         except KeyError as exc:
             raise ValueError(
                 "stabilizer element does not preserve the neighbourhood"
             ) from exc
         seen.setdefault(restricted, None)
-    perms = [Permutation(t) for t in seen]
-    result = closure(perms, cap=len(perms) + 1)
-    if result.order != len(perms):
+    result = closure(list(seen), cap=len(seen) + 1)
+    if result.order != len(seen):
         raise InternalInconsistencyError(
             "restricted stabilizer set is not closed")
     return result
@@ -500,8 +497,8 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
 
     if h.realization is None:
         raise ValueError("overgroup needs a permutation realization")
-    grp_set = frozenset(p.images for p in grp.realization)
-    h_set = frozenset(p.images for p in h.realization)
+    grp_set = frozenset(grp.realization)
+    h_set = frozenset(h.realization)
     if not grp_set <= h_set:
         return fail("subgroup", "grp is not contained in h")
     checks.append(Check("subgroup", True, f"index {len(h_set) // len(grp_set)}"))
@@ -543,25 +540,26 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
 def replay_witness(v: Verdict) -> bool:
     """Re-validate a verdict's witness from scratch.
 
-    non-CCA: the witness must be colour-preserving and non-affine on the
-    stored Cayley graph.  pair-yes: the witness must be colour-preserving on
-    the stored complete colour graph and not a left translation.
+    The witness must be a bijection of the stored graph's vertices.
+    non-CCA: it must be colour-preserving and non-affine on the stored
+    Cayley graph.  pair-yes: it must be colour-preserving on the stored
+    complete colour graph and not a left translation.
     """
     if v.witness is None:
         raise ValueError("verdict carries no witness")
     if not isinstance(v.context, CayleyColouredGraph):
         raise ValueError("verdict carries no graph to replay against")
-    cg = v.context
-    if v.witness.degree != cg.vertex_count:
-        raise ValueError("witness degree does not match the stored graph")
+    cg, w = v.context, v.witness
+    if sorted(w) != list(range(cg.vertex_count)):
+        return False
     if v.kind is VerdictKind.NON_CCA:
-        if not is_colour_preserving(cg.graph, v.witness):
+        if not is_colour_preserving(cg.graph, w):
             return False
-        affine, _ = is_affine(cg, v.witness)
+        affine, _ = is_affine(cg, w)
         return not affine
     if v.kind is VerdictKind.PAIR_YES:
-        if not is_colour_preserving(cg.graph, v.witness):
+        if not is_colour_preserving(cg.graph, w):
             return False
-        imgs, g = v.witness.images, cg.group
-        return g.table[imgs[g.identity]] != list(imgs)
+        g = cg.group
+        return g.table[w[g.identity]] != list(w)
     raise ValueError(f"verdict kind {v.kind.value} has no witness semantics")

@@ -64,8 +64,7 @@ class ColouredGraph:
         """Position in ``perms`` of the first vertex permutation that sends
         some edge off the edge set (colours ignored), or None if none does."""
         edges = self._colour
-        for i, p in enumerate(perms):
-            imgs = p.images
+        for i, imgs in enumerate(perms):
             for (u, v) in edges:
                 a, b = imgs[u], imgs[v]
                 if ((a, b) if a < b else (b, a)) not in edges:

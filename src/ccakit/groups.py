@@ -6,9 +6,8 @@ import os
 from itertools import product as iproduct
 from typing import NamedTuple
 
-from . import kernels
+from . import kernels, perm
 from .errors import CapExceededError
-from .perm import Permutation
 
 _DEFAULT_CAP = 512
 
@@ -33,8 +32,8 @@ class FiniteGroup:
     ``elements[i]`` is a display name, ``table[i][j]`` the index of the
     product (element i times element j, i acting on the left).  ``generators``
     maps generator names to indices.  ``realization``, when present, assigns
-    each index a Permutation and is a faithful homomorphism for the
-    left-action composition convention.
+    each index an image tuple (see ``perm``) and is a faithful
+    homomorphism for the left-action composition convention.
     """
 
     __slots__ = ("elements", "table", "identity", "inverse", "generators",
@@ -168,17 +167,18 @@ class FiniteGroup:
                 f"associativity fails at ({ij // self.order}, "
                 f"{ij % self.order}, {k})")
         if self.realization is not None:
-            seen = set()
+            degree = len(self.realization[0])
             for p in self.realization:
-                if not isinstance(p, Permutation):
-                    raise ValueError("realization must hold Permutations")
-                seen.add(p.images)
-            if len(seen) != self.order:
+                if perm.bijection(p) != p or len(p) != degree:
+                    raise ValueError(
+                        "realization must hold image tuples of one degree")
+            if len(set(self.realization)) != self.order:
                 raise ValueError("realization is not faithful")
             for i in range(self.order):
                 for j in range(self.order):
                     lhs = self.realization[self.table[i][j]]
-                    rhs = self.realization[i] * self.realization[j]
+                    rhs = perm.compose(self.realization[i],
+                                       self.realization[j])
                     if lhs != rhs:
                         raise ValueError(
                             f"realization is not a homomorphism at ({i},{j})")
@@ -252,10 +252,13 @@ def _format_word(tokens: list[str]) -> str:
     return "*".join(parts)
 
 
-def closure(gens: list[Permutation], cap: int | None = None,
+def closure(gens: list[tuple[int, ...]], cap: int | None = None,
             names: list[str] | None = None, name: str | None = None
             ) -> FiniteGroup:
     """Permutation group generated by ``gens``, if its order fits the cap.
+
+    Each generator is an image tuple and must be a bijection; products of
+    bijections are not checked again.
 
     Elements are discovered breadth-first from the identity, multiplying on
     the right by the generators in the given order, so element 0 is the
@@ -271,24 +274,25 @@ def closure(gens: list[Permutation], cap: int | None = None,
     cap = default_cap() if cap is None else cap
     if cap < 1:
         raise ValueError("cap must be positive")
-    degree = gens[0].degree
-    if any(p.degree != degree for p in gens):
+    gens = [perm.bijection(p) for p in gens]
+    degree = len(gens[0])
+    if any(len(p) != degree for p in gens):
         raise ValueError("generators must share a degree")
     if names is None:
         names = [f"g{i}" for i in range(len(gens))]
     if len(names) != len(gens):
         raise ValueError("one name per generator, please")
 
-    ident = Permutation.identity(degree)
-    elems: list[Permutation] = [ident]
-    index: dict[Permutation, int] = {ident: 0}
+    ident = tuple(range(degree))
+    elems: list[tuple[int, ...]] = [ident]
+    index: dict[tuple[int, ...], int] = {ident: 0}
     words: list[list[str]] = [[]]
     found_as: list[tuple[int, int]] = []  # (p, k) with e_i = e_p g_k, i >= 1
     qi = 0
     while qi < len(elems):
         base = elems[qi]
         for k, (gname, gp) in enumerate(zip(names, gens)):
-            q = base * gp
+            q = perm.compose(base, gp)
             if q not in index:
                 if len(elems) >= cap:
                     raise CapExceededError(
@@ -300,7 +304,7 @@ def closure(gens: list[Permutation], cap: int | None = None,
                 found_as.append((qi, k))
         qi += 1
 
-    lmul = [[index[gp * e] for e in elems] for gp in gens]
+    lmul = [[index[perm.compose(gp, e)] for e in elems] for gp in gens]
     table = [list(range(len(elems)))]
     for p, k in found_as:
         row_p = table[p]
@@ -480,7 +484,7 @@ def wreath_c2(g: FiniteGroup, cap: int | None = None) -> FiniteGroup:
 
 def left_regular(g: FiniteGroup) -> FiniteGroup:
     """The same group realized by left translations on its own indices."""
-    realization = [Permutation(row) for row in g.table]
+    realization = [tuple(row) for row in g.table]
     return FiniteGroup(g.elements, g.table, generators=g.generators,
                        realization=realization,
                        name=f"L({g.name or '?'})")
@@ -497,10 +501,7 @@ class Isomorphism(NamedTuple):
         return self.images[i]
 
     def inverted(self) -> "Isomorphism":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Isomorphism(self.target, self.source, tuple(inv))
+        return Isomorphism(self.target, self.source, perm.inverse(self.images))
 
 
 def minimal_generating_sequence(g: FiniteGroup) -> list[int]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import perm
 from .errors import InternalInconsistencyError
 from .graphs import (Arc, CayleyColouredGraph, ColouredGraph, arcs,
                      cayley_graph, line_graph, subdivision)
-from .groups import FiniteGroup, Permutation
+from .groups import FiniteGroup
 
 
 class ArcLabeling(NamedTuple):
@@ -41,7 +42,7 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     """
     if group.realization is None:
         raise ValueError("group needs a permutation realization")
-    if group.realization[0].degree != graph.vertex_count:
+    if len(group.realization[0]) != graph.vertex_count:
         raise ValueError("realization degree does not match the graph")
     all_arcs = arcs(graph)
     if not all_arcs:
@@ -62,15 +63,14 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     elem_to_arc = []
     arc_to_elem: dict[Arc, int] = {}
     for i, p in enumerate(group.realization):
-        a = Arc(p.images[base_arc.tail], p.images[base_arc.head])
+        a = Arc(p[base_arc.tail], p[base_arc.head])
         if a in arc_to_elem:
             raise ValueError("not arc-regular: two elements give one arc")
         arc_to_elem[a] = i
         elem_to_arc.append(a)
     # orbit size |G| = arc count and no collisions, so this is a bijection
     table = group.table
-    for gi, p in enumerate(group.realization):
-        imgs = p.images
+    for gi, imgs in enumerate(group.realization):
         row = table[gi]
         for hi, a in enumerate(elem_to_arc):
             if arc_to_elem[Arc(imgs[a.tail], imgs[a.head])] != row[hi]:
@@ -127,20 +127,23 @@ def cayley_form(labeling: ArcLabeling
     return cg, elem_of_vertex, lg
 
 
-def induced_vertex_map(h: Permutation, labeling: ArcLabeling) -> Permutation:
+def induced_vertex_map(h: tuple[int, ...], labeling: ArcLabeling
+                       ) -> tuple[int, ...]:
     """Transport an automorphism of the base graph to the element indices.
 
     The image of element i is the label of h applied to the arc labelled i.
     Group elements themselves transport to the rows of the multiplication
-    table; overgroup elements transport to new permutations.
+    table; overgroup elements transport to new permutations.  ``h`` must be
+    a bijection of the graph's vertices; one that sends every arc to an arc
+    then permutes the arcs, so the result is a bijection too.
     """
-    if h.degree != labeling.graph.vertex_count:
+    imgs = perm.bijection(h)
+    if len(imgs) != labeling.graph.vertex_count:
         raise ValueError("degree does not match the labelled graph")
-    imgs = h.images
     out = []
     for a in labeling.elem_to_arc:
         key = Arc(imgs[a.tail], imgs[a.head])
         if key not in labeling.arc_to_elem:
             raise ValueError("map does not permute the arcs of the graph")
         out.append(labeling.arc_to_elem[key])
-    return Permutation(out)
+    return tuple(out)

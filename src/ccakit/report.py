@@ -28,7 +28,7 @@ _REPLAYABLE = (VerdictKind.NON_CCA, VerdictKind.PAIR_YES)
 
 
 def verdict_payload(v: Verdict) -> dict:
-    images = list(v.witness.images) if v.witness is not None else []
+    images = list(v.witness) if v.witness is not None else []
     return {
         "kind": v.kind.value,
         "witness_images": images,

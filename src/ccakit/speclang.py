@@ -19,7 +19,7 @@ from .errors import CapExceededError, SpecElabError, SpecSyntaxError
 from .groups import (FiniteGroup, closure, cyclic, default_cap, dihedral,
                      direct_product, generalized_dicyclic,
                      generalized_dihedral, quaternion, wreath_c2)
-from .perm import Permutation
+from .perm import from_cycles
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
           "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", "^": "CARET",
@@ -435,17 +435,18 @@ def _at(pos: tuple[int, int], msg: str) -> SpecElabError:
     return SpecElabError(f"line {pos[0]}, column {pos[1]}: {msg}")
 
 
-def _within_cap(order: int) -> None:
+def _within_cap(size: int, what: str = "order") -> None:
     cap = default_cap()
-    if order > cap:
-        raise CapExceededError(f"order {order} exceeds cap {cap}")
+    if size > cap:
+        raise CapExceededError(f"{what} {size} exceeds cap {cap}")
 
 
 def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
     """Build the group an expression denotes.
 
     ``env`` provides declared names.  Every constructed order is checked
-    against ``default_cap()`` before its table is built; overruns raise
+    against ``default_cap()`` before its table is built, and so is the
+    degree of ``Perm[...]`` before its generators are; overruns raise
     CapExceededError.  Structural misuse (Dih of a non-abelian group, a bad
     Dic involution) raises SpecElabError carrying the source position.
     """
@@ -492,10 +493,11 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
                 degree = max(degree, max(cyc) + 1)
         if degree == 0:
             raise _at(e.pos, "Perm needs at least one cycle")
+        _within_cap(degree, "degree")
         perms = []
         for cycles in e.gens:
             try:
-                perms.append(Permutation.from_cycles(degree, cycles))
+                perms.append(from_cycles(degree, cycles))
             except ValueError as exc:
                 raise _at(e.pos, str(exc)) from None
         return closure(perms)

@@ -99,7 +99,7 @@ def test_cap_handling(capsys):
 
 
 @pytest.mark.parametrize("expr", ["C(17)", "D(9)", "Dih(C(9))",
-                                  "Dic(C(10), r^5)"])
+                                  "Dic(C(10), r^5)", "Perm[(0 16)]"])
 def test_order_cap_holds_for_every_head(capsys, monkeypatch, expr):
     monkeypatch.setenv("CCA_MAX_ORDER", "16")
     d = run_json(capsys, "check-group", expr)
@@ -255,3 +255,18 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal: RuntimeError: engine exploded\n"
+
+
+def test_malformed_witness_exits_3(capsys, monkeypatch):
+    is_cca_graph = cli.is_cca_graph
+
+    def short_witness(cg):
+        v = is_cca_graph(cg)
+        v.witness = v.witness[:-1]
+        return v
+
+    monkeypatch.setattr(cli, "is_cca_graph", short_witness)
+    code, out, err = run(capsys, "check-graph", "Q8", "{i, j} +inv")
+    assert code == 3
+    assert out == ""
+    assert err == "internal: witness failed replay at emit time\n"

@@ -18,7 +18,7 @@ from ccakit.groups import (FiniteGroup, automorphisms, closure, cyclic,
                            dihedral, direct_product, inverse_classes,
                            left_regular, minimal_generating_sequence,
                            quaternion)
-from ccakit.perm import Permutation
+from ccakit.perm import from_cycles
 from ccakit.speclang import (elaborate, elaborate_connection,
                              parse_connection, parse_expr)
 
@@ -29,18 +29,32 @@ from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
 
 def dih_closure(g):
     """Left translations plus inversion, as a permutation group."""
-    gens = [Permutation(tuple(row)) for row in g.table]
-    gens.append(Permutation(tuple(g.inverse)))
+    gens = [tuple(row) for row in g.table]
+    gens.append(tuple(g.inverse))
     return closure(gens)
+
+
+# a repeated image, an out-of-range image, a wrong length
+NON_BIJECTIONS = [(1, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6), (0, 1)]
 
 
 def test_is_colour_preserving():
     cg = cayley_graph(cyclic(6), [1, 5])
-    rot = Permutation((1, 2, 3, 4, 5, 0))
+    rot = (1, 2, 3, 4, 5, 0)
     assert is_colour_preserving(cg.graph, rot)
-    assert not is_colour_preserving(cg.graph, Permutation((1, 0, 2, 3, 4, 5)))
-    with pytest.raises(ValueError):
-        is_colour_preserving(cg.graph, Permutation((0, 1)))
+    assert not is_colour_preserving(cg.graph, (1, 0, 2, 3, 4, 5))
+    for bad in NON_BIJECTIONS:
+        for graph in (cg, cg.graph):
+            with pytest.raises(ValueError):
+                is_colour_preserving(graph, bad)
+
+
+def test_is_affine_rejects_non_bijections():
+    cg = cayley_graph(cyclic(6), [1, 5])
+    assert is_affine(cg, (1, 2, 3, 4, 5, 0))[0]
+    for bad in NON_BIJECTIONS:
+        with pytest.raises(ValueError):
+            is_affine(cg, bad)
 
 
 def pairwise_colour_preserving(graph, images) -> bool:
@@ -65,10 +79,9 @@ def test_is_colour_preserving_matches_pairwise_check(expr, conn):
     cg = cayley_graph(g, elaborate_connection(parse_connection(conn), g))
     hits = 0
     for images in permutations(range(g.order)):
-        p = Permutation(images)
         want = pairwise_colour_preserving(cg.graph, images)
-        assert is_colour_preserving(cg, p) == want
-        assert is_colour_preserving(cg.graph, p) == want
+        assert is_colour_preserving(cg, images) == want
+        assert is_colour_preserving(cg.graph, images) == want
         hits += want
     assert hits == len(brute_colour_automorphisms(g.order,
                                                   edge_dict(cg.graph)))
@@ -83,13 +96,13 @@ def test_is_affine_on_a_connection_set_that_does_not_generate():
     g = cyclic(6)
     cg = cayley_graph(g, [2, 4])
     affine = brute_affine_maps(g.table)
-    cycled = Permutation((0, 3, 2, 5, 4, 1))
+    cycled = (0, 3, 2, 5, 4, 1)
     assert is_colour_preserving(cg, cycled)
     assert is_affine(cg, cycled) == (False, None)
     maps = brute_colour_automorphisms(6, edge_dict(cg.graph))
-    assert cycled.images in maps
+    assert cycled in maps
     for images in maps:
-        assert is_affine(cg, Permutation(images))[0] == (images in affine)
+        assert is_affine(cg, images)[0] == (images in affine)
 
 
 def test_automorphism_group_of_six_cycle():
@@ -106,7 +119,7 @@ def test_complete_colour_graph_c3_gives_symmetric_group():
     aut = colour_preserving_automorphisms(kg.graph)
     assert aut.order == 6  # single colour class: all of Sym(3)
     assert aut.element_set() == frozenset(
-        p.images for p in dih_closure(cyclic(3)).realization)
+        dih_closure(cyclic(3)).realization)
 
 
 def test_complete_colour_graph_q8_matches_reflection_span():
@@ -115,11 +128,10 @@ def test_complete_colour_graph_q8_matches_reflection_span():
     q = quaternion()
     kg = complete_colour_graph(q)
     aut = colour_preserving_automorphisms(kg.graph)
-    gens = [Permutation(tuple(row)) for row in q.table]
-    gens += [Permutation.from_cycles(8, [pair])
-             for pair in ((2, 3), (4, 5), (6, 7))]
+    gens = [tuple(row) for row in q.table]
+    gens += [from_cycles(8, [pair]) for pair in ((2, 3), (4, 5), (6, 7))]
     span = closure(gens)
-    assert aut.element_set() == frozenset(p.images for p in span.realization)
+    assert aut.element_set() == frozenset(span.realization)
     assert aut.order == 64  # 8 translations times the C2^3 of sign flips
 
 
@@ -137,12 +149,12 @@ def test_affinity_matches_bruteforce(g):
     aut = colour_preserving_automorphisms(kg.graph)
     for p in aut.elements:
         verdict, decomp = is_affine(kg, p)
-        assert verdict == (p.images in affine)
+        assert verdict == (p in affine)
         if verdict:
             lam = g.table[decomp.translation]
-            rebuilt = tuple(lam[decomp.automorphism.images[i]]
+            rebuilt = tuple(lam[decomp.automorphism[i]]
                             for i in range(g.order))
-            assert rebuilt == p.images
+            assert rebuilt == p
 
 
 def test_is_cca_graph_six_cycle():
@@ -186,7 +198,7 @@ def test_is_cca_graph_matches_full_route(expr):
             v = is_cca_graph(cg)
             kind, witness, checks = full_route_verdict(cg)
             assert v.kind.value == kind, conn
-            assert (v.witness.images if v.witness else None) == witness, conn
+            assert v.witness == witness, conn
             assert [(c.name, c.passed, c.detail) for c in v.checks] == checks
             graphs += 1
     assert graphs > 0
@@ -340,9 +352,8 @@ def test_pair_c4_satisfies_two_shapes():
 
 def test_pair_yes_quaternion_reflections():
     q = quaternion()
-    gens = [Permutation(tuple(row)) for row in q.table]
-    gens += [Permutation.from_cycles(8, [pair])
-             for pair in ((2, 3), (4, 5), (6, 7))]
+    gens = [tuple(row) for row in q.table]
+    gens += [from_cycles(8, [pair]) for pair in ((2, 3), (4, 5), (6, 7))]
     v = is_complete_colour_pair(left_regular(q), closure(gens))
     assert v.kind is VerdictKind.PAIR_YES
     by_name = {c.name: c.passed for c in v.checks}
@@ -353,8 +364,8 @@ def test_pair_yes_quaternion_reflections():
 def test_pair_no_when_b_too_big():
     # all of Sym(4) is not inside the colour group of K_C4
     g = cyclic(4)
-    sym4 = closure([Permutation.from_cycles(4, [(0, 1)]),
-                    Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    sym4 = closure([from_cycles(4, [(0, 1)]),
+                    from_cycles(4, [(0, 1, 2, 3)])])
     v = is_complete_colour_pair(left_regular(g), sym4)
     assert v.kind is VerdictKind.PAIR_NO
     by_name = {c.name: c.passed for c in v.checks}
@@ -395,7 +406,7 @@ def test_replay_rejects_a_translation_as_pair_witness():
     v = is_complete_colour_pair(left_regular(g), dih_closure(g))
     assert replay_witness(v)
     for row in g.table:  # colour-preserving, but no certificate
-        v.witness = Permutation(tuple(row))
+        v.witness = tuple(row)
         assert not replay_witness(v)
 
 
@@ -409,15 +420,15 @@ def test_pair_rejects_degenerate_inputs():
 
 def test_local_action_sizes():
     hexagon = cayley_graph(cyclic(6), [1, 5]).graph
-    rot = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    flip = Permutation((0, 5, 4, 3, 2, 1))
+    rot = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    flip = (0, 5, 4, 3, 2, 1)
     assert local_action(closure([rot]), hexagon, 0).order == 1
     assert local_action(closure([rot, flip]), hexagon, 0).order == 2
 
 
 def test_harness_reports_failed_hypotheses():
     hexagon = cayley_graph(cyclic(6), [1, 5]).graph
-    rot = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    rot = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     rot_only = closure([rot])
     v = arc_lift_harness(hexagon, rot_only, rot_only)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
@@ -426,7 +437,7 @@ def test_harness_reports_failed_hypotheses():
         "arc-regular", False, "not arc-regular: |G| = 6, 12 arcs")
 
     # a group that is not made of graph automorphisms names its offender
-    swap = closure([Permutation((1, 0, 2, 3, 4, 5))])
+    swap = closure([(1, 0, 2, 3, 4, 5)])
     v = arc_lift_harness(hexagon, swap, swap)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
     last = v.checks[-1]
@@ -437,7 +448,7 @@ def test_harness_reports_failed_hypotheses():
     # arc-regular holds for the dihedral action, but the local pairs are
     # degenerate (|local G| = 2 < 3), which must surface as a failed check,
     # not an exception
-    full = closure([rot, Permutation((0, 5, 4, 3, 2, 1))])
+    full = closure([rot, (0, 5, 4, 3, 2, 1)])
     v = arc_lift_harness(hexagon, full, full)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
     assert any(c.name == "local-pairs" and not c.passed for c in v.checks)
@@ -451,7 +462,7 @@ def test_harness_reports_failed_hypotheses():
         "arc-regular", False, "Arc(tail=0, head=2) is not an arc of the graph")
 
     # an overgroup that moves an edge onto a non-edge fails its own check
-    bigger = closure([*full.realization, Permutation((3, 1, 2, 0, 4, 5))])
+    bigger = closure([*full.realization, (3, 1, 2, 0, 4, 5)])
     v = arc_lift_harness(hexagon, full, bigger)
     assert v.kind is VerdictKind.HYPOTHESES_FAIL
     last = v.checks[-1]
@@ -463,10 +474,15 @@ def test_harness_reports_failed_hypotheses():
 def test_replay_witness_rejects_tampering():
     v = is_cca_group(quaternion())
     assert v.kind is VerdictKind.NON_CCA
-    imgs = list(v.witness.images)
+    imgs = list(v.witness)
     imgs[0], imgs[1] = imgs[1], imgs[0]
-    v.witness = Permutation(imgs)
+    v.witness = tuple(imgs)
     assert not replay_witness(v)
+    # a repeated image, an out-of-range image, a wrong length
+    n = len(imgs)
+    for bad in ((0,) * n, tuple(range(1, n + 1)), tuple(range(n - 1))):
+        v.witness = bad
+        assert not replay_witness(v)
 
 
 def test_verdicts_share_no_mutable_defaults():

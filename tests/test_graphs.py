@@ -4,7 +4,6 @@ from ccakit.graphs import (Arc, ColouredGraph, arcs, cayley_graph,
                            complete_bipartite, complete_colour_graph,
                            is_connected, line_graph, subdivision)
 from ccakit.groups import cyclic, dihedral, direct_product
-from ccakit.perm import Permutation
 
 
 def test_coloured_graph_basics():
@@ -24,9 +23,9 @@ def test_coloured_graph_basics():
 
 def test_first_non_automorphism_ignores_colours():
     path = ColouredGraph(4, {(0, 1): 0, (1, 2): 0, (2, 3): 1})
-    flip = Permutation((3, 2, 1, 0))  # swaps the colours, keeps the edges
-    swap = Permutation((1, 0, 2, 3))  # sends {1, 2} onto the non-edge {0, 2}
-    ident = Permutation((0, 1, 2, 3))
+    flip = (3, 2, 1, 0)  # swaps the colours, keeps the edges
+    swap = (1, 0, 2, 3)  # sends {1, 2} onto the non-edge {0, 2}
+    ident = (0, 1, 2, 3)
     assert path.first_non_automorphism([]) is None
     assert path.first_non_automorphism([ident, flip]) is None
     assert path.first_non_automorphism([ident, flip, swap, swap]) == 2

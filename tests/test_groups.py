@@ -21,7 +21,6 @@ from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            inverse_classes, left_regular,
                            minimal_generating_sequence, q8_c2n_isomorphism,
                            quaternion, recognize_dicyclic, wreath_c2)
-from ccakit.perm import Permutation
 
 from bruteforce import (brute_automorphisms, closure_by_products,
                         reclosing_iso_candidates, reclosing_scan)
@@ -180,8 +179,8 @@ def test_closure_of_knn_groups_matches_products(n):
                          ids=lambda g: g.name)
 def test_closure_of_dih_point_group_matches_products(a):
     # the point group the pair command builds for B = Dih(G)
-    gens = [Permutation(tuple(row)) for row in a.table]
-    gens.append(Permutation(tuple(a.inverse)))
+    gens = [tuple(row) for row in a.table]
+    gens.append(tuple(a.inverse))
     names = [f"g{i}" for i in range(len(gens))]
     g = closure(gens)
     assert g.order == (a.order if a.is_elementary_abelian_2()
@@ -194,7 +193,7 @@ def test_closure_of_dih_point_group_matches_products(a):
 def test_closure_matches_products_on_random_generators(data):
     degree = data.draw(st.integers(1, 7), label="degree")
     gens = data.draw(st.lists(
-        st.permutations(range(degree)).map(Permutation),
+        st.permutations(range(degree)).map(tuple),
         min_size=1, max_size=3), label="gens")
     names = [f"g{i}" for i in range(len(gens))]
     try:
@@ -293,6 +292,28 @@ def test_h3_and_its_wreath_model_pass_validate():
     wreath_c2(dihedral(3)).validate()
 
 
+# beside (1, 0, 2): a repeated image, an out-of-range image, a wrong length
+NON_BIJECTIONS = [(1, 1, 2), (1, 3, 2), (1, 0)]
+
+
+@pytest.mark.parametrize("bad", NON_BIJECTIONS)
+def test_closure_rejects_non_bijections(bad):
+    assert closure([(1, 0, 2)]).order == 2
+    with pytest.raises(ValueError):
+        closure([(1, 0, 2), bad])
+
+
+@pytest.mark.parametrize("bad", NON_BIJECTIONS)
+def test_validate_rejects_non_bijective_realizations(bad):
+    def c2(realization):
+        return FiniteGroup(["e", "a"], [[0, 1], [1, 0]],
+                           realization=realization)
+
+    c2([(0, 1, 2), (1, 0, 2)]).validate()
+    with pytest.raises(ValueError):
+        c2([(0, 1, 2), bad]).validate()
+
+
 LOOP5 = [[0, 1, 2, 3, 4],
          [1, 0, 3, 4, 2],
          [2, 3, 4, 0, 1],  # 2*3 = e ...
@@ -318,13 +339,13 @@ def test_finite_group_rejects_non_groups(table, match):
 
 
 def test_closure_cap_is_loud():
-    r = Permutation.from_cycles(30, [tuple(range(30))])
+    r = perm.from_cycles(30, [tuple(range(30))])
     with pytest.raises(CapExceededError, match="exceeds cap 10"):
         closure([r], cap=10)
 
 
 def test_closure_names_and_identity_position():
-    r = Permutation.from_cycles(3, [(0, 1, 2)])
+    r = perm.from_cycles(3, [(0, 1, 2)])
     g = closure([r], names=["r"])
     assert g.elements[0] == "e"
     assert g.elements[1] == "r"

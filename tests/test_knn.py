@@ -11,7 +11,7 @@ from ccakit.errors import PipelineError
 from ccakit.graphs import Arc
 from ccakit.groups import are_isomorphic, dihedral
 from ccakit.labeling import induced_vertex_map
-from ccakit.perm import Permutation, compose
+from ccakit.perm import compose, inverse, power
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -69,7 +69,7 @@ def test_cayley_form_recovers_the_connection(n):
     labeling, cg, elem_of_vertex = knn_cayley_form(a)
     assert cg.graph.vertex_count == 2 * n * n
     expected = {a.g_index(a.tau)}
-    expected.update(a.g_index(a.rho2 ** k) for k in range(1, n))
+    expected.update(a.g_index(power(a.rho2, k)) for k in range(1, n))
     assert set(cg.connection) == expected
     assert sorted(elem_of_vertex) == list(range(2 * n * n))
 
@@ -102,19 +102,19 @@ def test_translations_transport_to_affine_maps():
     labeling, cg, _ = knn_cayley_form(a)
     induced = induced_vertex_map(a.rho2, labeling)
     ok, decomp = is_affine(cg, induced)
-    assert ok and decomp.automorphism.is_identity()
+    assert ok and decomp.automorphism == tuple(range(cg.vertex_count))
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_gamma_properties(n):
     a = knn_actors(n)
     g = gamma(a)
-    assert (g * g).is_identity()
-    assert g * a.tau == a.tau * g
-    u = a.rho1 * a.rho2
-    v = a.rho1.inverse() * a.rho2
-    assert g * v == v * g
-    assert g * u * g == u.inverse()
+    assert compose(g, g) == tuple(range(len(g)))
+    assert compose(g, a.tau) == compose(a.tau, g)
+    u = compose(a.rho1, a.rho2)
+    v = compose(inverse(a.rho1), a.rho2)
+    assert compose(g, v) == compose(v, g)
+    assert compose(compose(g, u), g) == inverse(u)
     with pytest.raises(ValueError):
         a.g_index(g)
 
@@ -135,13 +135,14 @@ def test_rebasing_identity_by_hand():
     # rho1^a rho2^b = (rho1 rho2)^((a+b)/2) (rho1^-1 rho2)^((b-a)/2) mod n
     n = 3
     a = knn_actors(n)
-    u = a.rho1 * a.rho2
-    v = a.rho1.inverse() * a.rho2
+    u = compose(a.rho1, a.rho2)
+    v = compose(inverse(a.rho1), a.rho2)
     half = pow(2, -1, n)
     for i in range(n):
         for j in range(n):
-            lhs = (a.rho1 ** i) * (a.rho2 ** j)
-            rhs = (u ** ((i + j) * half % n)) * (v ** ((j - i) * half % n))
+            lhs = compose(power(a.rho1, i), power(a.rho2, j))
+            rhs = compose(power(u, (i + j) * half % n),
+                          power(v, (j - i) * half % n))
             assert lhs == rhs, (i, j)
 
 
@@ -151,12 +152,12 @@ def test_phi_action_on_normal_forms(n):
     dd = double_dihedral(a)
     phi = dd.phi()
     ident = dd.group.identity
-    assert phi.images[ident] == ident
+    assert phi[ident] == ident
     # phi is an involution on indices
-    assert compose(phi, phi).is_identity()
+    assert compose(phi, phi) == tuple(range(dd.group.order))
     for i in range(dd.group.order):
         nf = dd.normal_form(i)
-        img = dd.normal_form(phi.images[i])
+        img = dd.normal_form(phi[i])
         assert img.i1 == nf.i1
         assert img.i2 == (-nf.i2) % n
         assert img.e == nf.e and img.d == nf.d
