@@ -66,7 +66,8 @@ def _build_parser() -> _Parser:
                        help="decide CCA over all connection sets")
     p.add_argument("group")
     p.add_argument("--cap", type=int,
-                   help="bound on connection sets examined")
+                   help="bound on minimal generating connection sets "
+                        "examined")
 
     p = sub.add_parser("pair", parents=[shared],
                        help="decide the complete-colour-pair property")
@@ -83,7 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--orders", required=True, metavar="A..B",
                    help="inclusive order range, e.g. 4..18")
     p.add_argument("--cap", type=int,
-                   help="bound on connection sets examined per group")
+                   help="bound on minimal generating connection sets "
+                        "examined per group")
 
     p = sub.add_parser("script", parents=[shared],
                        help="run declarations and tasks from a file")

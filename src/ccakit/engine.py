@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import time
 from enum import Enum
-from itertools import combinations
 from typing import NamedTuple
 
 from . import kernels, perm
 from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
-from .groups import (FiniteGroup, automorphisms, closure,
-                     greedy_closure, inverse_classes, q8_c2n_isomorphism,
+from .groups import (FiniteGroup, automorphisms, closure, greedy_closure,
+                     grow_closure, inverse_classes, q8_c2n_isomorphism,
                      recognize_dicyclic)
 from .labeling import arc_labeling, cayley_form, induced_vertex_map
 
@@ -102,13 +101,14 @@ def is_colour_preserving(g: ColouredGraph | CayleyColouredGraph,
 class _After:
     """``_After(a)[b]`` is the image tuple of a o b: b first, then a."""
 
-    __slots__ = ("get",)
+    __slots__ = ("a",)
 
     def __init__(self, a: tuple[int, ...]):
-        self.get = a.__getitem__
+        self.a = a
 
     def __getitem__(self, b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(self.get, b))
+        a = self.a
+        return tuple([a[x] for x in b])
 
 
 def _searched_group(g: ColouredGraph | CayleyColouredGraph, roots):
@@ -244,18 +244,22 @@ _ENUM_CAP = 1 << 16  # Aut(G) listing limit, and the default cap
 
 
 def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
-    """Check every connected Cayley graph on g, up to Aut(g) symmetry.
+    """Check the inclusion-minimal connected Cayley graphs on g, up to Aut(g).
 
-    Connection sets are unions of inverse classes, walked by size and then
-    in ``combinations`` order, which within one size is the order of their
-    sorted element tuples (classes are ordered by their least element).  The
-    first member of each Aut(g) orbit met is examined and marks the rest of
-    its orbit, so each orbit is examined once, at its least member.  Aut(g)
-    is listed up to 65,536 elements; above that every subset is walked.
-    ``cap`` bounds the connection sets examined: reaching it before the walk
-    ends or a witness turns up returns unknown-cap instead of CCA.  Unions
-    of inverse classes are valid connection sets, so each orbit leader's
-    graph is built directly; its generating set says if it is connected.
+    A colour-preserving map of Cay(g, S) preserves the colours of Cay(g, S')
+    for every connected S' inside S, and being affine does not depend on S, so
+    g is CCA iff Cay(g, S) is for every minimal generating union S of inverse
+    classes.  Such an S is irredundant (in any order its classes generate a
+    strictly growing chain of subgroups), so it has at most log2|g| classes.
+    Class sequences grow one size at a time: each non-generating prefix meets
+    every later class outside its subgroup, by one ``grow_closure`` step.
+    Dropping a class other than the last leaves a sequence met one size
+    earlier, so a generating sequence is minimal when none of those generate.
+    Minimal sets of one size come in ``combinations`` order; the first member
+    of each Aut(g) orbit met is examined and marks its orbit, all minimal too.
+    Aut(g) is listed up to 65,536 elements; above that every minimal set is
+    examined.  ``cap`` bounds the sets examined: reaching it before the walk
+    ends or a witness turns up returns unknown-cap instead of CCA.
     """
     cap = _ENUM_CAP if cap is None else cap
     if cap < 1:
@@ -272,8 +276,8 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
 
     auts = automorphisms(g, limit=_ENUM_CAP)
     if auts is None:
-        checks.append(Check("orbit-pruning", False,
-                            f"|Aut(G)| > {_ENUM_CAP}, walking every subset"))
+        checks.append(Check("orbit-pruning", False, f"|Aut(G)| > "
+                            f"{_ENUM_CAP}, examining every minimal set"))
         class_maps = {tuple(range(len(classes)))}
     else:
         checks.append(Check("orbit-pruning", True, f"|Aut(G)| = {len(auts)}"))
@@ -282,20 +286,30 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
         class_maps = {tuple(class_of[a.images[cls[0]]] for cls in classes)
                       for a in auts}
 
+    reps = [cls[0] for cls in classes]
+    marked: set[tuple[int, ...]] = set()  # minimal sets of examined orbits
+    spanning: set[tuple[int, ...]] = set()  # generating sequences met
     processed = 0
-    for size in range(1, len(classes) + 1):
-        ahead: set[tuple[int, ...]] = set()  # orbit members not yet reached
-        for combo in combinations(range(len(classes)), size):
-            if combo in ahead:
-                ahead.remove(combo)
-                continue  # its orbit was met at an earlier subset
-            ahead.update(tuple(sorted(m[k] for k in combo))
-                         for m in class_maps)
-            ahead.discard(combo)
-            conn = tuple(sorted(c for k in combo for c in classes[k]))
-            cg = CayleyColouredGraph(g, conn)
-            if not cg.connected:
+    level = [((), [g.identity], [])]  # (prefix, its subgroup, its rows)
+    while level:
+        grown = []
+        for combo, order, rows in level:
+            known = set(order)
+            for k in range(combo[-1] + 1 if combo else 0, len(classes)):
+                if reps[k] not in known:  # else k is redundant here
+                    sub, sub_rows = order.copy(), rows + [g.table[reps[k]]]
+                    grow_closure(sub, known.copy(), sub_rows)
+                    grown.append((combo + (k,), sub, sub_rows))
+        level = [node for node in grown if len(node[1]) < g.order]
+        for combo, sub, _ in grown:
+            if len(sub) < g.order:
                 continue
+            spanning.add(combo)
+            if combo in marked or any(combo[:i] + combo[i + 1:] in spanning
+                                      for i in range(len(combo) - 1)):
+                continue  # met in its orbit already, or not minimal
+            marked.update(tuple(sorted(m[k] for k in combo))
+                          for m in class_maps)
             if processed >= cap:
                 checks.append(Check("connection-sets-examined", False,
                                     str(processed)))
@@ -303,6 +317,8 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
                                     f"stopped at cap {cap}"))
                 return Verdict(VerdictKind.UNKNOWN_CAP, checks, stats=stats)
             processed += 1
+            conn = tuple(sorted(c for k in combo for c in classes[k]))
+            cg = CayleyColouredGraph(g, conn)
             v = is_cca_graph(cg)
             stats.add(v.stats)
             if v.kind is VerdictKind.NON_CCA:

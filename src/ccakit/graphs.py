@@ -147,12 +147,6 @@ class CayleyColouredGraph:
                                  g.identity, g.table.__getitem__)
         return kept
 
-    @property
-    def connected(self) -> bool:
-        """Does the connection set generate?  Exactly then every greedy
-        generator comes from it."""
-        return set(self.generating_set) <= set(self.connection)
-
     @cached_property
     def graph(self) -> ColouredGraph:
         g, inv = self.group, self.group.inverse

@@ -194,32 +194,37 @@ def greedy_closure(candidates, identity, row, limit: int | None = None):
     ``row(s)[x]`` is the product s*x.  Returns ``(kept, closure)``: the kept
     candidates in scan order and the subgroup they generate.  The closure
     is None once it would pass ``limit`` elements; ``kept`` then ends with
-    the candidate that pushed it over.
-
-    The closure grows incrementally (Dimino): the known elements are closed
-    under the earlier generators, so a new generator multiplies each of
-    them once, and only newly found elements meet every kept generator:
-    at most |closure| * len(kept) products.
+    the candidate that pushed it over.  Each kept candidate closes the
+    closure so far by one ``grow_closure`` step: at most |closure| *
+    len(kept) products in all.
     """
     kept: list = []
     rows: list = []
-    known = {identity}
-    order = [identity]
+    known, order = {identity}, [identity]
     for s in candidates:
-        if s in known:
-            continue
-        kept.append(s)
-        rows.append(row(s))
-        new, closed = rows[-1:], len(order)
-        for i, x in enumerate(order):  # also walks what it appends
-            for r in (new if i < closed else rows):
-                y = r[x]
-                if y not in known:
-                    if limit is not None and len(known) >= limit:
-                        return kept, None
-                    known.add(y)
-                    order.append(y)
+        if s not in known:
+            kept.append(s)
+            rows.append(row(s))
+            if not grow_closure(order, known, rows, limit):
+                return kept, None
     return kept, known
+
+
+def grow_closure(order: list, known: set, rows: list,
+                 limit: int | None = None) -> bool:
+    """One Dimino step, in place: ``order`` lists ``known``, closed under
+    ``rows[:-1]``; close both under ``rows[-1]`` too, the old elements meeting
+    only that row.  False once ``known`` would pass ``limit`` elements."""
+    new, closed = rows[-1:], len(order)
+    for i, x in enumerate(order):  # also walks what it appends
+        for r in (new if i < closed else rows):
+            y = r[x]
+            if y not in known:
+                if limit is not None and len(known) >= limit:
+                    return False
+                known.add(y)
+                order.append(y)
+    return True
 
 
 def inverse_classes(g: FiniteGroup) -> list[tuple[int, ...]]:

@@ -9,7 +9,10 @@ group, which the decision from the stabilizer of vertex 0 must agree with;
 products, which ``groups.closure`` must reproduce; ``reclosing_scan`` closes
 from scratch after every pick, which ``groups.greedy_closure`` must match;
 ``min_walk_verdict`` keeps one connection set per Aut(G) orbit by a
-``min`` over every automorphism, which ``engine.is_cca_group`` must match;
+``min`` over every automorphism and examines every generating one, whose
+verdicts and witnesses ``engine.is_cca_group`` must match, while
+``minimal_walk_verdict`` examines only the inclusion-minimal ones, which the
+walk must match set for set;
 ``reclosing_iso_candidates`` vets each generator image by re-closing
 the images chosen so far and extends a homomorphism only at the leaf, which
 the isomorphism search in ``groups`` must match map for map; and
@@ -285,14 +288,10 @@ def reclosing_iso_candidates(g, h, gens):
     yield from backtrack(0)
 
 
-def min_walk_verdict(g, cap):
-    """``is_cca_group`` by a canonical-subset minimum over all of Aut(G).
-
-    Walks unions of inverse classes by size, keeps a subset only when no
-    automorphism maps it to a smaller sorted element tuple, and counts
-    towards ``cap`` only the generating subsets it examines.  Returns
-    (verdict, connection sets examined in order).
-    """
+def _oracle_walk(g, cap, keep):
+    """Unions of inverse classes by size, each kept when ``keep(conn)`` holds
+    and no automorphism maps it to a smaller sorted element tuple; ``cap``
+    counts only the sets examined.  Returns (verdict, sets examined)."""
     checks = []
     stats = SearchStats()
     examined = []
@@ -304,7 +303,7 @@ def min_walk_verdict(g, cap):
             conn = tuple(sorted(c for k in combo for c in classes[k]))
             if min(tuple(sorted(a[c] for c in conn)) for a in aut_maps) < conn:
                 continue
-            if not g.generates(conn):
+            if not keep(conn):
                 continue
             if len(examined) >= cap:
                 checks.append(Check("connection-sets-examined", False,
@@ -328,6 +327,30 @@ def min_walk_verdict(g, cap):
                                data={"connection": list(conn)}), examined
     checks.append(Check("connection-sets-examined", True, str(len(examined))))
     return Verdict(VerdictKind.CCA, checks, stats=stats), examined
+
+
+def min_walk_verdict(g, cap):
+    """``is_cca_group`` over every generating union of inverse classes.
+
+    Walks unions of inverse classes by size, keeps a subset only when no
+    automorphism maps it to a smaller sorted element tuple, and counts
+    towards ``cap`` only the generating subsets it examines.  Returns
+    (verdict, connection sets examined in order).
+    """
+    return _oracle_walk(g, cap, g.generates)
+
+
+def minimal_walk_verdict(g, cap):
+    """``is_cca_group`` as it walks: ``min_walk_verdict`` restricted to the
+    inclusion-minimal generating unions, each tested by asking whether
+    dropping any one inverse class stops it generating."""
+    def minimal(conn):
+        classes = sorted({(c, g.inverse[c]) if c <= g.inverse[c]
+                          else (g.inverse[c], c) for c in conn})
+        return g.generates(conn) and not any(
+            g.generates([c for c in conn if c not in cls]) for cls in classes)
+
+    return _oracle_walk(g, cap, minimal)
 
 
 def _left_translation_set(g):

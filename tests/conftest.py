@@ -20,6 +20,7 @@ _TITLES = {
     7: "backtracking equals the all-permutations filter on 20 small graphs",
     8: "pair verdicts plus the colour group of the complete graph on Q8",
     9: "property suites, 200 cases each",
+    10: "check-group: D(16) is CCA and C(5) x D(5) non-CCA, under 10 s each",
 }
 
 

@@ -17,12 +17,13 @@ from ccakit.bipartite import (complete_bipartite, cyclic_dihedral_witness,
                               knn_actors, knn_cayley_form)
 from ccakit.cli import main
 from ccakit.engine import (colour_preserving_automorphisms, is_affine,
-                           is_colour_preserving)
+                           is_cca_group, is_colour_preserving, replay_witness)
 from ccakit.graphs import (ColouredGraph, cayley_graph, complete_colour_graph,
                            is_connected)
 from ccakit.groups import (closure, cyclic, dihedral, direct_product,
                            quaternion)
 from ccakit.perm import compose, from_cycles, inverse, power
+from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_automorphisms, brute_colour_automorphisms,
                         edge_dict)
@@ -296,3 +297,27 @@ def test_ac9_normal_forms_and_rebasing(data):
                   power(compose(inverse(act.rho1), act.rho2),
                         (b - a) * half % n))
     assert lhs == rhs
+
+
+# ---- 10: the minimal-set walk decides order 32 and order 50 ---------------
+
+def test_ac10_dihedral_order_32_is_cca(capsys):
+    doc, elapsed = run_json(capsys, "check-group", "D(16)")
+    assert doc["verdict"]["kind"] == "CCA"
+    assert checks_by_name(doc)["connection-sets-examined"]["pass"]
+    assert elapsed < 10.0
+
+
+def test_ac10_cyclic_times_dihedral_n5_is_non_cca(capsys):
+    """The paper's C_n x D_2n family at n = 5, found by the group walk."""
+    doc, elapsed = run_json(capsys, "check-group", "C(5) x D(5)")
+    assert elapsed < 10.0
+    assert doc["verdict"]["kind"] == "non-CCA"
+    assert checks_by_name(doc)["witness-connection-set"]["detail"]
+
+    # the emitted permutation replays as colour-preserving and non-affine
+    v = is_cca_group(elaborate(parse_expr("C(5) x D(5)"), {}))
+    assert list(v.witness) == doc["verdict"]["witness_images"]
+    assert replay_witness(v)
+    assert is_colour_preserving(v.context.graph, v.witness)
+    assert not is_affine(v.context, v.witness)[0]

@@ -172,13 +172,15 @@ def test_census_report(capsys):
 
 
 def test_census_strict_exits_2_when_a_row_is_capped(capsys):
-    code, out, _ = run(capsys, "census", "--orders", "16..16", "--cap", "2",
+    # one minimal connection set decides C(16); D(8) needs two
+    code, out, _ = run(capsys, "census", "--orders", "16..16", "--cap", "1",
                        "--strict")
     assert code == 2
     rows = {r["group"]: r["verdict"]["kind"]
             for r in json.loads(out)["verdicts"]}
-    assert rows["C(16)"] == rows["D(8)"] == "unknown-cap"
-    code, plain, _ = run(capsys, "census", "--orders", "16..16", "--cap", "2")
+    assert rows["C(16)"] == "CCA"
+    assert rows["D(8)"] == "unknown-cap"
+    code, plain, _ = run(capsys, "census", "--orders", "16..16", "--cap", "1")
     assert code == 0
     assert json.loads(plain)["verdicts"] == json.loads(out)["verdicts"]
 

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from ccakit import engine
+from ccakit.cli import _census_catalog
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
                            arc_lift_harness, colour_preserving_automorphisms,
                            is_affine, is_cca_graph, is_cca_group,
@@ -24,7 +25,8 @@ from ccakit.speclang import (elaborate, elaborate_connection,
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
                         edge_dict, full_route_verdict, min_walk_verdict,
-                        reclosing_iso_candidates, set_built_pair_verdict)
+                        minimal_walk_verdict, reclosing_iso_candidates,
+                        set_built_pair_verdict)
 
 
 def dih_closure(g):
@@ -248,11 +250,23 @@ def _report(v):
             v.witness, v.stats.nodes, v.data)
 
 
+def _decided(v):
+    """What a walk over more connection sets must also conclude."""
+    named = {c.name: c.detail for c in v.checks}
+    return (v.kind, v.witness, named.get("witness-connection-set"), v.data)
+
+
+CENSUS_4_18 = [label for label, _ in _census_catalog(4, 18)]
+
+
 @pytest.mark.parametrize("cap", [None, 1, 3])
-@pytest.mark.parametrize("expr", ORDER_12_GROUPS)
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS + [
+    e for e in CENSUS_4_18 if e not in ORDER_12_GROUPS])
 def test_is_cca_group_matches_min_walk(expr, cap, monkeypatch):
-    """The orbit walk examines the connection sets the per-subset minimum
-    over all of Aut(G) keeps, in the same order, and reports the same."""
+    """The orbit walk examines the minimal connection sets the per-subset
+    minimum over all of Aut(G) keeps, in the same order, and reports the
+    same; wherever the walk over every generating set decides, it decides
+    alike, witness and witness connection set included."""
     g = elaborate(parse_expr(expr), {})
     examined = []
     verdict_of = engine.is_cca_graph
@@ -263,18 +277,49 @@ def test_is_cca_group_matches_min_walk(expr, cap, monkeypatch):
 
     monkeypatch.setattr(engine, "is_cca_graph", recording)
     v = is_cca_group(g, cap=cap)
-    expected, expected_examined = min_walk_verdict(
-        g, engine._ENUM_CAP if cap is None else cap)
+    cap = engine._ENUM_CAP if cap is None else cap
+    expected, expected_examined = minimal_walk_verdict(g, cap)
     assert examined == expected_examined
     assert _report(v) == _report(expected)
+    every, _ = min_walk_verdict(g, cap)
+    if every.kind is not VerdictKind.UNKNOWN_CAP:
+        assert _decided(v) == _decided(every)
+
+
+@pytest.mark.parametrize("expr", ORDER_12_GROUPS + ["Q8 x C(2)",
+                                                    "C(3) x D(3)"])
+def test_non_cca_is_inherited_by_connected_sub_unions(expr):
+    """Every connected union of inverse classes inside a non-CCA one is
+    non-CCA too, which is why the walk may keep to the minimal ones."""
+    g = elaborate(parse_expr(expr), {})
+    classes = inverse_classes(g)
+    non_cca = {}  # class bitmask -> verdict, connected unions only
+    for mask in range(1, 1 << len(classes)):
+        conn = [c for k, cls in enumerate(classes) if mask >> k & 1
+                for c in cls]
+        if g.generates(conn):
+            v = is_cca_graph(cayley_graph(g, conn))
+            non_cca[mask] = v.kind is VerdictKind.NON_CCA
+    pairs = 0
+    for mask, bad in non_cca.items():
+        if not bad:
+            continue
+        sub = (mask - 1) & mask
+        while sub:
+            if sub in non_cca:
+                assert non_cca[sub], (mask, sub)
+                pairs += 1
+            sub = (sub - 1) & mask
+    if expr in ("Q8", "Q8 x C(2)", "C(3) x D(3)"):
+        assert pairs > 0
 
 
 @pytest.mark.parametrize("expr", ["Q8", "D(6)", "C(3) x D(3)"])
 def test_is_cca_group_closes_each_connection_set_once(expr, monkeypatch):
-    """The walk reads connectivity off each graph's own generating set and
+    """The walk tests connectivity and minimality on its own closures and
     never asks the group whether a connection set generates."""
     g = elaborate(parse_expr(expr), {})
-    expected, _ = min_walk_verdict(g, engine._ENUM_CAP)
+    expected, _ = minimal_walk_verdict(g, engine._ENUM_CAP)
 
     def refuse(self, indices):
         raise AssertionError("is_cca_group called FiniteGroup.generates")
@@ -284,30 +329,39 @@ def test_is_cca_group_closes_each_connection_set_once(expr, monkeypatch):
 
 
 def test_cap_counts_only_connection_sets():
-    # |Aut(C12)| = 4 exceeds the cap of 3, yet the orbits are still used
-    v = is_cca_group(cyclic(12), cap=3)
+    # |Aut(C12)| = 4 exceeds the caps, yet the orbits are still used: the
+    # three minimal orbits fit a cap of 3, not one of 2
+    v = is_cca_group(cyclic(12), cap=2)
     assert v.kind is VerdictKind.UNKNOWN_CAP
     assert (v.checks[0].name, v.checks[0].passed, v.checks[0].detail) == \
         ("orbit-pruning", True, "|Aut(G)| = 4")
+    v = is_cca_group(cyclic(12), cap=3)
+    assert v.kind is VerdictKind.CCA
+    assert v.checks[-1].detail == "3"
 
 
 def test_is_cca_group_walks_every_subset_above_the_aut_limit(monkeypatch):
     g = cyclic(12)
     classes = inverse_classes(g)
-    generating = sum(1 for size in range(1, len(classes) + 1)
-                     for combo in combinations(classes, size)
-                     if g.generates([c for cls in combo for c in cls]))
+    unions = [[c for cls in combo for c in cls]
+              for size in range(1, len(classes) + 1)
+              for combo in combinations(classes, size)]
+    minimal = sum(1 for conn in unions if g.generates(conn) and not any(
+        g.generates([c for c in conn if c not in cls]) for cls in classes
+        if cls[0] in conn))
     monkeypatch.setattr(engine, "_ENUM_CAP", 3)  # |Aut(C12)| = 4
     v = is_cca_group(g, cap=1000)
     assert v.kind is VerdictKind.CCA
     assert [(c.name, c.passed, c.detail) for c in v.checks] == [
-        ("orbit-pruning", False, "|Aut(G)| > 3, walking every subset"),
-        ("connection-sets-examined", True, str(generating))]
+        ("orbit-pruning", False,
+         "|Aut(G)| > 3, examining every minimal set"),
+        ("connection-sets-examined", True, str(minimal))]
 
 
 def test_is_cca_group_elementary_abelian_16():
     """|Aut| = 20,160 over 2^15 - 1 subsets: a minimum over all of Aut(G)
-    for every subset takes more than 600 s here."""
+    for every subset takes more than 600 s here.  Every basis is minimal,
+    and Aut(G) makes them one orbit."""
     g = elaborate(parse_expr("C(2) x C(2) x C(2) x C(2)"), {})
     t0 = time.perf_counter()
     v = is_cca_group(g)
@@ -315,7 +369,7 @@ def test_is_cca_group_elementary_abelian_16():
     assert v.kind is VerdictKind.CCA
     assert [(c.name, c.detail) for c in v.checks] == [
         ("orbit-pruning", "|Aut(G)| = 20160"),
-        ("connection-sets-examined", "36")]
+        ("connection-sets-examined", "1")]
 
 
 def test_pair_yes_cyclic_dihedral():

@@ -11,21 +11,31 @@ benchmark's own witness, harness and census tasks) while maps were still
 validated ``Permutation`` objects, before bare image tuples replaced them.
 They are never regenerated from the code under test, so any change to a
 verdict, a witness, a check narrative or ``stats.nodes`` shows up here.
+
+The four tasks in ``MOVED`` were re-pinned once, when the orbit walk came
+to examine only inclusion-minimal connection sets, and only after
+``test_moved_digests_differ_from_every_set_walk_only_in_counts`` showed
+their reports equal to those of the walk over every generating set up to
+the counts that walk lowers.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from ccakit import cli, engine
 from ccakit.cli import main
+
+from bruteforce import min_walk_verdict
 
 GOLDEN = [
     (("census", "--orders", "4..12"),
-     "4183e5f161492eabddd28ae25709837c31fd9042669fe1c157e7ae6716755832", {}),
+     "6fadb192f171af8ef9c99e9ab9d6bad0e187be9aedd5ee4c71255577edf76faa", {}),
     (("check-group", "Dic(C(12), r^6)"),
      "a5859d302d713401f689c38f45fefe7d62b5d185bd5535a9a5932161e31de84d", {}),
     (("check-group", "C(4) x C(4)"),
-     "d7d29604120e76f38ca07f66b8421ed06ed8a2c3baa817c0f5b0fda9f79cf82d", {}),
+     "a035ad5612e6bcea8ab7548ee8afacfb21d85b67dec65e854325dac7c5a235b9", {}),
     (("pair", "Q8 x C(2)", "Q8 x C(2)"),
      "59ef87558e3eb69b7a60a83fb50d5f44f22d397aae4e4f45f70539fb77842594", {}),
     (("witness-thm31", "--n", "5", "--emit", "both"),
@@ -50,9 +60,9 @@ GOLDEN = [
      "89cb9738edaeab4097cc2f4e171051dca62da3c8a99f8fe58f001cabd4c15932", {}),
     # the census emitter, with replay checks and its --out file
     (("census", "--orders", "4..8", "--verify"),
-     "44366e7cfad5df133be6bc7396a4c5653980b555b011cab7bea3c3598e019f55",
+     "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5",
      {"census-4-8.json":
-      "44366e7cfad5df133be6bc7396a4c5653980b555b011cab7bea3c3598e019f55"}),
+      "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5"}),
     # the walk's cap, reported by the single-verdict emitter
     (("check-group", "D(6)", "--cap", "3"),
      "a91e20f71fe1d54ec281c12b890738bf009e6094644dc77a24a5518583f94336", {}),
@@ -71,8 +81,48 @@ GOLDEN = [
     (("harness-4-10", "--n", "7"),
      "de690ef6728d424d3be2821d501afb5d516a15d0b0baf90c09d08bea1be0f2ac", {}),
     (("census", "--orders", "4..18"),
-     "32256da3d2ccc5f823c35a23f4c058e247613c6ad956dc83d0536d269a6d34e3", {}),
+     "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d", {}),
 ]
+
+
+# tasks whose digests moved when the orbit walk came to examine only the
+# inclusion-minimal connection sets: fewer sets on CCA rows, fewer nodes
+MOVED = [("census", "--orders", "4..12"), ("check-group", "C(4) x C(4)"),
+         ("census", "--orders", "4..8", "--verify"),
+         ("census", "--orders", "4..18")]
+
+
+def _without_walk_counts(report: dict) -> dict:
+    """The report with ``stats.nodes`` and the CCA rows' count of examined
+    connection sets blanked out."""
+    report["stats"]["nodes"] = None
+    rows = ([r["verdict"] for r in report["verdicts"]]
+            if "verdicts" in report else [report["verdict"]])
+    for verdict in rows:
+        for check in verdict["checks"]:
+            if (verdict["kind"] == "CCA"
+                    and check["name"] == "connection-sets-examined"):
+                check["detail"] = None
+    return report
+
+
+@pytest.mark.parametrize("argv", MOVED, ids=[" ".join(a) for a in MOVED])
+def test_moved_digests_differ_from_every_set_walk_only_in_counts(
+        capsys, tmp_path, monkeypatch, argv):
+    """Each moved task reports as it does when check-group walks every
+    generating connection set, up to the counts the minimal walk lowers."""
+    monkeypatch.chdir(tmp_path)
+
+    def report() -> dict:
+        assert main([*argv, "--seedless"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    minimal = report()
+    monkeypatch.setattr(cli, "is_cca_group", lambda g, cap=None:
+                        min_walk_verdict(g, cap or engine._ENUM_CAP)[0])
+    every = report()
+    assert minimal != every
+    assert _without_walk_counts(minimal) == _without_walk_counts(every)
 
 
 def _sha(data: bytes) -> str:
