@@ -8,8 +8,9 @@ and pair pipelines were trimmed, the next three before the orbit walk
 stopped closing each connection set twice and census and the single-verdict
 commands came to share one report emitter, and the last four (the
 benchmark's own witness, harness and census tasks) while maps were still
-validated ``Permutation`` objects, before bare image tuples replaced them.
-They are never regenerated from the code under test, so any change to a
+validated ``Permutation`` objects, before bare image tuples replaced them,
+and the last two (``check-graph`` on one non-CCA and one CCA graph) while
+``is_cca_graph`` still ran both affinity routes on every graph.  They are never regenerated from the code under test, so any change to a
 verdict, a witness, a check narrative or ``stats.nodes`` shows up here.
 
 The four tasks in ``MOVED`` were re-pinned once, when the orbit walk came
@@ -82,6 +83,11 @@ GOLDEN = [
      "de690ef6728d424d3be2821d501afb5d516a15d0b0baf90c09d08bea1be0f2ac", {}),
     (("census", "--orders", "4..18"),
      "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d", {}),
+    # one graph, non-CCA and CCA, reported by is_cca_graph itself
+    (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
+     "cb026468c259474a578c476aa4fda2badc4f55c2fd2df751b033fb44c69e76b7", {}),
+    (("check-graph", "C(6)", "{r} +inv"),
+     "283b625d4028a0e7261589258b87d44da5bb7311f7d78ac4198daed1588ca714", {}),
 ]
 
 
