@@ -4,8 +4,9 @@ Every command prints one JSON report to stdout and exits 0 when the
 analysis completed, whatever the verdict says.  Exit 1 flags a usage,
 parse, or elaboration problem; exit 2 means a resource cap blocked the
 requested assertion and --strict was set; exit 3 is an internal
-inconsistency (two routes that must agree did not) or any other unexpected
-failure, reported as one ``internal:`` line instead of a traceback.
+inconsistency (two routes that must agree did not, such as a witness failing
+its replay) or any other unexpected failure, reported as one ``internal:``
+line instead of a traceback.
 
 Tasks run sequentially; --seedless additionally zeroes timings so that
 identical invocations produce identical bytes.

@@ -3,9 +3,12 @@
 Every task the benchmark (``perfbench/``) runs is run here through
 ``cli.main``, and its report must pass the benchmark's own ``check_report``:
 a change that breaks a pinned census row or witness fails here, before a
-benchmark run.  ``perfbench/workloads.py`` is only imported, never changed.
+benchmark run.  Every function the benchmark's tracer wraps must still
+exist, since a missing one would quietly read 0 there.  ``perfbench/`` is
+only imported, never changed.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,18 +17,31 @@ import pytest
 
 from ccakit.cli import main
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses looks the module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("workloads")
+spans = _load("spans")
+WRAPPED = [(mod, attr) for _, mod, attr, _ in spans.TARGETS] + \
+    [(mod, attr) for _, mod, attr in spans.COUNTED]
+
+
+@pytest.mark.parametrize("module, attr", WRAPPED,
+                         ids=[f"{m}.{a}" for m, a in WRAPPED])
+def test_traced_function_exists(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    assert callable(owner)
 TASKS = [(name, task) for name, tasks in workloads.WORKLOADS.items()
          for task in tasks]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ccakit import cli
+from ccakit import cli, engine
 from ccakit.cli import main
 
 
@@ -269,6 +269,17 @@ def test_malformed_witness_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "is_cca_graph", short_witness)
     code, out, err = run(capsys, "check-graph", "Q8", "{i, j} +inv")
+    assert code == 3
+    assert out == ""
+    assert err == "internal: witness failed replay at emit time\n"
+
+
+def test_witness_replay_uses_the_normalizer_route(capsys, monkeypatch):
+    """The verdict finds its witness by the decomposition route; replay
+    checks it by the normalizer route alone, so a normalizer route that
+    calls every map affine fails the emitted witness."""
+    monkeypatch.setattr(engine, "_normalizes", lambda cg, p: True)
+    code, out, err = run(capsys, "check-group", "Q8")
     assert code == 3
     assert out == ""
     assert err == "internal: witness failed replay at emit time\n"

@@ -19,7 +19,7 @@ from ccakit.groups import (FiniteGroup, automorphisms, closure, cyclic,
                            dihedral, direct_product, inverse_classes,
                            left_regular, minimal_generating_sequence,
                            quaternion)
-from ccakit.perm import from_cycles
+from ccakit.perm import compose, from_cycles
 from ccakit.speclang import (elaborate, elaborate_connection,
                              parse_connection, parse_expr)
 
@@ -187,7 +187,10 @@ ORDER_12_GROUPS = [
 @pytest.mark.parametrize("expr", ORDER_12_GROUPS)
 def test_is_cca_graph_matches_full_route(expr):
     """The stabilizer route gives the whole-group route's report on every
-    connected Cayley graph of the group."""
+    connected Cayley graph of the group.  On each graph the stabilizer it
+    reads is closed under composition, the two affinity routes agree on
+    every colour-preserving map, and each affine stabilizer element fixes
+    every colour class setwise."""
     g = elaborate(parse_expr(expr), {})
     classes = inverse_classes(g)
     graphs = 0
@@ -202,6 +205,16 @@ def test_is_cca_graph_matches_full_route(expr):
             assert v.kind.value == kind, conn
             assert v.witness == witness, conn
             assert [(c.name, c.passed, c.detail) for c in v.checks] == checks
+
+            stab, _ = engine._searched_group(cg, (0,))
+            assert {compose(a, b) for a in stab for b in stab} == set(stab)
+            for p in colour_preserving_automorphisms(cg).elements:
+                assert is_affine(cg, p)[0] == engine._normalizes(cg, p), p
+            for p in stab:
+                affine, decomposition = is_affine(cg, p)
+                if affine:
+                    alpha = decomposition.automorphism
+                    assert all(alpha[c] in (c, g.inverse[c]) for c in conn)
             graphs += 1
     assert graphs > 0
 
@@ -532,9 +545,13 @@ def test_replay_witness_rejects_tampering():
     imgs[0], imgs[1] = imgs[1], imgs[0]
     v.witness = tuple(imgs)
     assert not replay_witness(v)
-    # a repeated image, an out-of-range image, a wrong length
+    # a left translation preserves colours but is affine; a repeated image,
+    # an out-of-range image, a wrong length
     n = len(imgs)
-    for bad in ((0,) * n, tuple(range(1, n + 1)), tuple(range(n - 1))):
+    translation = tuple(v.context.group.table[1])
+    assert is_colour_preserving(v.context, translation)
+    for bad in (translation, (0,) * n, tuple(range(1, n + 1)),
+                tuple(range(n - 1))):
         v.witness = bad
         assert not replay_witness(v)
 

@@ -6,27 +6,38 @@ taken from the verdict path as it stood before the table-driven search
 replaced the colour-matrix one, the next four before the witness, harness
 and pair pipelines were trimmed, the next three before the orbit walk
 stopped closing each connection set twice and census and the single-verdict
-commands came to share one report emitter, and the last four (the
-benchmark's own witness, harness and census tasks) while maps were still
-validated ``Permutation`` objects, before bare image tuples replaced them,
-and the last two (``check-graph`` on one non-CCA and one CCA graph) while
-``is_cca_graph`` still ran both affinity routes on every graph.  They are never regenerated from the code under test, so any change to a
-verdict, a witness, a check narrative or ``stats.nodes`` shows up here.
+commands came to share one report emitter, the next four (the benchmark's
+own witness, harness and census tasks) while maps were still validated
+``Permutation`` objects, before bare image tuples replaced them, and the
+last two (``check-graph`` on one non-CCA and one CCA graph) while
+``is_cca_graph`` still ran both affinity routes on every graph.  They are
+never regenerated from the code under test, so any change to a verdict, a
+witness, a check narrative or ``stats.nodes`` shows up here.
 
 The four tasks in ``MOVED`` were re-pinned once, when the orbit walk came
 to examine only inclusion-minimal connection sets, and only after
 ``test_moved_digests_differ_from_every_set_walk_only_in_counts`` showed
 their reports equal to those of the walk over every generating set up to
 the counts that walk lowers.
+
+The four tasks in ``RESTORED`` were re-pinned once, when ``is_cca_graph``
+came to decide each graph by one affinity route (dropping its
+``translations-present`` and ``stabilizer-formulation`` checks) and
+``witness-thm31`` stopped building the overgroup H, and only after
+``test_restored_reports_hash_to_their_old_digests`` rebuilt their old bytes
+from the new reports.
 """
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 from ccakit import cli, engine
 from ccakit.cli import main
+from ccakit.report import to_json
+from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import min_walk_verdict
 
@@ -40,9 +51,9 @@ GOLDEN = [
     (("pair", "Q8 x C(2)", "Q8 x C(2)"),
      "59ef87558e3eb69b7a60a83fb50d5f44f22d397aae4e4f45f70539fb77842594", {}),
     (("witness-thm31", "--n", "5", "--emit", "both"),
-     "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba",
+     "911980c7bfe95f157a32357448e57ce5c1a3116e0b44a0eb112c087dd844c626",
      {"witness-thm31-5.json":
-      "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba",
+      "911980c7bfe95f157a32357448e57ce5c1a3116e0b44a0eb112c087dd844c626",
       "witness-thm31-5.dot":
       "b9a7189bdfad00d757d1972c8901c192ceac489b97a6871a086137e1e5986f5e"}),
     (("witness-prop33", "--n", "3"),
@@ -72,9 +83,9 @@ GOLDEN = [
      "717779a4237d9439b29bb2355b53253496ce6003e25f8b24c9eb463ec08cd399", {}),
     # the benchmark's own tasks
     (("witness-thm31", "--n", "9", "--emit", "both"),
-     "08b12d2217cba4fcb7a57d81693d4b7f3fd3c22787c47a73b1ef7ca19e7c20b5",
+     "70c4ddfbdf8b70ad3fab9ff2016e90ca7dc3e7c4418c641efa17a882c1cb786e",
      {"witness-thm31-9.json":
-      "08b12d2217cba4fcb7a57d81693d4b7f3fd3c22787c47a73b1ef7ca19e7c20b5",
+      "70c4ddfbdf8b70ad3fab9ff2016e90ca7dc3e7c4418c641efa17a882c1cb786e",
       "witness-thm31-9.dot":
       "471e8dbaf029d3ae1b60bfb635cca328ab7ce3befd3032bccb610f0bded221d7"}),
     (("witness-prop33", "--n", "9"),
@@ -85,9 +96,9 @@ GOLDEN = [
      "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d", {}),
     # one graph, non-CCA and CCA, reported by is_cca_graph itself
     (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
-     "cb026468c259474a578c476aa4fda2badc4f55c2fd2df751b033fb44c69e76b7", {}),
+     "5ac420e83e097e276b8d984eb377a490e99946cb88d421a92dc39414dac4bdd5", {}),
     (("check-graph", "C(6)", "{r} +inv"),
-     "283b625d4028a0e7261589258b87d44da5bb7311f7d78ac4198daed1588ca714", {}),
+     "48b66534f3113c54ac4d749a90066b25c0dcd44975a49c9dea89f35a79a880a2", {}),
 ]
 
 
@@ -98,13 +109,17 @@ MOVED = [("census", "--orders", "4..12"), ("check-group", "C(4) x C(4)"),
          ("census", "--orders", "4..18")]
 
 
+def _verdicts(report: dict) -> list[dict]:
+    """The verdicts of a single-verdict report or of a census's rows."""
+    return ([r["verdict"] for r in report["verdicts"]]
+            if "verdicts" in report else [report["verdict"]])
+
+
 def _without_walk_counts(report: dict) -> dict:
     """The report with ``stats.nodes`` and the CCA rows' count of examined
     connection sets blanked out."""
     report["stats"]["nodes"] = None
-    rows = ([r["verdict"] for r in report["verdicts"]]
-            if "verdicts" in report else [report["verdict"]])
-    for verdict in rows:
+    for verdict in _verdicts(report):
         for check in verdict["checks"]:
             if (verdict["kind"] == "CCA"
                     and check["name"] == "connection-sets-examined"):
@@ -133,6 +148,92 @@ def test_moved_digests_differ_from_every_set_walk_only_in_counts(
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+# tasks whose digests moved when is_cca_graph came to run one affinity route
+# and witness-thm31 stopped building H, with their digests before that
+RESTORED = [
+    (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
+     "cb026468c259474a578c476aa4fda2badc4f55c2fd2df751b033fb44c69e76b7"),
+    (("check-graph", "C(6)", "{r} +inv"),
+     "283b625d4028a0e7261589258b87d44da5bb7311f7d78ac4198daed1588ca714"),
+    (("witness-thm31", "--n", "5", "--emit", "both"),
+     "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba"),
+    (("witness-thm31", "--n", "9", "--emit", "both"),
+     "08b12d2217cba4fcb7a57d81693d4b7f3fd3c22787c47a73b1ef7ca19e7c20b5"),
+]
+
+
+def _restore_dropped_checks(argv: tuple[str, ...], report: dict) -> None:
+    """Put back what the report said before: the two checks is_cca_graph
+    made while it ran both affinity routes, or the |H| that witness-thm31
+    printed while it built H."""
+    checks = report["verdict"]["checks"]
+    if argv[0] == "check-graph":
+        order = elaborate(parse_expr(argv[1]), {}).order
+        assert [c["name"] for c in checks] == ["search", "all-affine"]
+        checks[1:1] = [
+            {"name": "translations-present", "pass": True,
+             "detail": f"all {order} left translations found"},
+            {"name": "stabilizer-formulation", "pass": True,
+             "detail": "both formulations agree"}]
+    else:
+        n = int(argv[2])
+        assert checks[0] == {"name": "actors", "pass": True,
+                             "detail": f"|G| = {2 * n * n}"}
+        checks[0]["detail"] += f", |H| = {8 * n * n}"
+
+
+@pytest.mark.parametrize("argv, old_digest", RESTORED,
+                         ids=[" ".join(a) for a, _ in RESTORED])
+def test_restored_reports_hash_to_their_old_digests(capsys, tmp_path,
+                                                    monkeypatch, argv,
+                                                    old_digest):
+    """Each moved report, with the dropped checks or detail put back and
+    serialized again, has the bytes it had before; its --out JSON, when
+    there is one, is the same text as its stdout."""
+    monkeypatch.chdir(tmp_path)
+    extra = ["--out", "out"] if "--emit" in argv else []
+    assert main([*argv, "--seedless", *extra]) == 0
+    out = capsys.readouterr().out
+    if extra:
+        assert (tmp_path / "out" / f"witness-thm31-{argv[2]}.json"
+                ).read_text() == out
+    assert _sha(out.encode()) != old_digest
+    report = json.loads(out)
+    _restore_dropped_checks(argv, report)
+    assert _sha(to_json(report).encode()) == old_digest
+
+
+ONE_ROUTE = [("census", "--orders", "4..18"), *(a for a, _ in RESTORED[:2])]
+
+
+@pytest.mark.parametrize("argv", ONE_ROUTE, ids=[" ".join(a) for a in ONE_ROUTE])
+def test_verdicts_close_nothing_and_run_one_affinity_route(capsys,
+                                                           monkeypatch, argv):
+    """With the stabilizer closure gone and the normalizer route refused
+    outside ``replay_witness``, the pinned bytes still come out, and every
+    emitted witness was replayed by the normalizer route."""
+    normalizes = engine._normalizes
+    replayed = []
+
+    def replay_only(cg, p):
+        if sys._getframe(1).f_code is not engine.replay_witness.__code__:
+            raise AssertionError("normalizer route called outside replay")
+        replayed.append(p)
+        return normalizes(cg, p)
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("greedy_closure called")
+
+    monkeypatch.setattr(engine, "_normalizes", replay_only)
+    monkeypatch.setattr(engine, "greedy_closure", no_closure)
+    assert main([*argv, "--seedless"]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    assert replayed == [tuple(v["witness_images"])
+                        for v in _verdicts(json.loads(out))
+                        if v["kind"] == "non-CCA"]
 
 
 @pytest.mark.parametrize("argv, stdout_digest, files", GOLDEN,
