@@ -20,8 +20,8 @@ from .engine import Check, Verdict, VerdictKind, is_affine, \
 from .errors import InternalInconsistencyError, PipelineError
 from .graphs import Arc, CayleyColouredGraph, ColouredGraph, cayley_graph, \
     complete_bipartite
-from .groups import (FiniteGroup, closure, cyclic, dihedral, direct_product,
-                     extend_homomorphism, wreath_c2)
+from .groups import FiniteGroup, closure, cyclic, dihedral, \
+    extend_homomorphism
 from .perm import compose, inverse, power
 from .labeling import ArcLabeling, arc_labeling, cayley_form as _cayley_form, \
     induced_vertex_map
@@ -34,6 +34,40 @@ def _index_map(group: FiniteGroup) -> dict:
 def _stage(cond, msg):
     if not cond:
         raise PipelineError("actors", msg)
+
+
+def _factor_pairs(group, gens, a, a_images, b, b_images) -> list | None:
+    """x -> (f_a(x), f_b(x)) for the homomorphisms into A and B extending
+    gens -> a_images and gens -> b_images, or None.  A list is returned only
+    when it is a bijection onto A x B, which proves group = A x B."""
+    fa = extend_homomorphism(group, gens, a_images, a)
+    fb = extend_homomorphism(group, gens, b_images, b)
+    if fa is None or fb is None or group.order != a.order * b.order:
+        return None
+    pairs = list(zip(fa, fb))
+    return pairs if len(set(pairs)) == group.order else None
+
+
+def _wreath_elements(h: FiniteGroup, d: FiniteGroup) -> list[int] | None:
+    """f1(a) f2(b) tau^e at the ``wreath_c2`` index (a*|D| + b)*2 + e, where
+    f1, f2 extend r, s -> rho_i, sigma_i over D = D_2n.  None unless the two
+    copies commute on generators, the involution tau swaps them and the list
+    holds |H| distinct elements, which together prove H = D wr C2."""
+    rho1, sigma1, rho2, sigma2, tau = (
+        h.generators[x] for x in ("rho1", "sigma1", "rho2", "sigma2", "tau"))
+    rs = [d.generators["r"], d.generators["s"]]
+    f1 = extend_homomorphism(d, rs, [rho1, sigma1], h)
+    f2 = extend_homomorphism(d, rs, [rho2, sigma2], h)
+    m = h.table
+    if (f1 is None or f2 is None or m[tau][tau] != h.identity
+            or any(m[x][y] != m[y][x] or m[m[tau][x]][tau] != y
+                   for x, y in ((rho1, rho2), (sigma1, sigma2)))
+            or m[rho1][sigma2] != m[sigma2][rho1]
+            or m[sigma1][rho2] != m[rho2][sigma1]):
+        return None
+    elems = [y for x1 in f1 for x2 in f2
+             for y in (m[x1][x2], m[m[x1][x2]][tau])]
+    return elems if len(set(elems)) == h.order else None
 
 
 class KnnActors:
@@ -66,19 +100,15 @@ class KnnActors:
     @cached_property
     def h(self) -> FiniteGroup:
         """<rho1, sigma1, rho2, sigma2, tau>, checked on first read to have
-        order 8n^2 and to match the wreath-style double of D_2n."""
+        order 8n^2 and, in its own table, to be D_2n wr C2 (see
+        ``_wreath_elements``)."""
         n = self.n
         gens = [self.rho1, self.sigma1, self.rho2, self.sigma2, self.tau]
         h = closure(gens, cap=8 * n * n,
                     names=["rho1", "sigma1", "rho2", "sigma2", "tau"],
                     name=f"H({n})")
         _stage(h.order == 8 * n * n, f"|H| = {h.order}, wanted {8 * n * n}")
-        hmap = _index_map(h)
-        wr = wreath_c2(dihedral(n), cap=8 * n * n)
-        images = [hmap[p] for p in gens]
-        wr_gens = [wr.generators[x] for x in ("r1", "s1", "r2", "s2", "t")]
-        full = extend_homomorphism(wr, wr_gens, images, h)
-        _stage(full is not None and len(set(full)) == h.order,
+        _stage(_wreath_elements(h, dihedral(n)) is not None,
                "H does not match the doubled dihedral group")
         return h
 
@@ -86,7 +116,8 @@ class KnnActors:
 def knn_actors(n: int) -> KnnActors:
     """Build the actors for K_{n,n} and verify their structure.
 
-    Checks |G| = 2n^2 with G isomorphic to C_n x D_2n, the swap relations
+    Checks |G| = 2n^2 with G isomorphic to C_n x D_2n (by homomorphisms
+    onto the two factors whose pairing is injective), the swap relations
     tau rho1 tau = rho2 and tau sigma1 tau = sigma2, that sigma2 lies
     outside G, and that rho2^2 already generates <rho2> (n is odd).  H is
     built and checked only when ``h`` is first read.
@@ -129,13 +160,13 @@ def knn_actors(n: int) -> KnnActors:
     _stage(sigma2 not in actors.g_map, "sigma2 lies inside G")
 
     # G is C_n x D_2n: the central factor is <rho1 rho2>
-    model = direct_product(cyclic(n), dihedral(n), cap=2 * n * n)
-    images = [actors.g_index(compose(rho1, rho2)),
-              actors.g_index(compose(inverse(rho1), rho2)),
-              actors.g_index(tau)]
-    gens = [model.generators[x] for x in ("r1", "r2", "s2")]
-    full = extend_homomorphism(model, gens, images, g)
-    _stage(full is not None and len(set(full)) == g.order,
+    gens = [actors.g_index(compose(rho1, rho2)),
+            actors.g_index(compose(inverse(rho1), rho2)),
+            actors.g_index(tau)]
+    c, d = cyclic(n), dihedral(n)
+    c_images = [c.generators["r"], c.identity, c.identity]
+    d_images = [d.identity, d.generators["r"], d.generators["s"]]
+    _stage(_factor_pairs(g, gens, c, c_images, d, d_images) is not None,
            "G does not match C_n x D_2n")
     return actors
 
@@ -296,11 +327,13 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
     """Extend G by gamma and pin down the structure of the result.
 
     The extension has order 4n^2, is isomorphic to D_2n x D_2n (factors
-    <rho1 rho2, gamma> and <rho1^-1 rho2, tau>), and every element is
+    <rho1 rho2, gamma> and <rho1^-1 rho2, tau>, proven by homomorphisms
+    onto each factor whose pairing is injective), and every element is
     uniquely rho1^i1 rho2^i2 tau^e gamma^d.  The exponent dictionaries are
-    built by brute enumeration and the rebasing identity
+    built by brute enumeration.  The rebasing identity
     rho1^a rho2^b = (rho1 rho2)^((a+b)/2) (rho1^-1 rho2)^((b-a)/2),
-    with /2 meaning division mod n, is checked for every pair (a, b).
+    with /2 meaning division mod n, is proven for every pair (a, b) by
+    checking that rho1 and rho2 commute and have order n.
     """
     n = actors.n
     gam = gamma(actors)
@@ -312,14 +345,13 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                             f"|<G, gamma>| = {big.order}, wanted {4 * n * n}")
 
     bmap = _index_map(big)
-    model = direct_product(dihedral(n), dihedral(n), cap=4 * n * n)
-    images = [bmap[compose(actors.rho1, actors.rho2)],
-              bmap[gam],
-              bmap[compose(inverse(actors.rho1), actors.rho2)],
-              bmap[actors.tau]]
-    gens = [model.generators[x] for x in ("r1", "s1", "r2", "s2")]
-    full = extend_homomorphism(model, gens, images, big)
-    if full is None or len(set(full)) != big.order:
+    gens = [bmap[compose(actors.rho1, actors.rho2)],
+            bmap[gam],
+            bmap[compose(inverse(actors.rho1), actors.rho2)],
+            bmap[actors.tau]]
+    dih = dihedral(n)
+    r, s, e = dih.generators["r"], dih.generators["s"], dih.identity
+    if _factor_pairs(big, gens, dih, [r, s, e, e], dih, [e, e, r, s]) is None:
         raise PipelineError("double-dihedral",
                             "extension does not match D_2n x D_2n")
 
@@ -343,18 +375,12 @@ def double_dihedral(actors: KnnActors) -> DoubleDihedral:
                     nf_of_index[idx] = nf
                     index_of_nf[nf] = idx
 
-    inv2 = pow(2, -1, n)
-    u_pow = [power(compose(actors.rho1, actors.rho2), k) for k in range(n)]
-    v_pow = [power(compose(inverse(actors.rho1), actors.rho2), k)
-             for k in range(n)]
-    for a in range(n):
-        for b in range(n):
-            lhs = compose(rho1_pow[a], rho2_pow[b])
-            rhs = compose(u_pow[((a + b) * inv2) % n],
-                          v_pow[((b - a) * inv2) % n])
-            if lhs != rhs:
-                raise InternalInconsistencyError(
-                    f"rebasing identity failed at ({a}, {b})")
+    ident = rho1_pow[0]
+    if (compose(actors.rho1, actors.rho2) != compose(actors.rho2, actors.rho1)
+            or compose(rho1_pow[-1], actors.rho1) != ident
+            or compose(rho2_pow[-1], actors.rho2) != ident):
+        raise InternalInconsistencyError(
+            "rebasing identity fails: rho1, rho2 must commute with order n")
 
     return DoubleDihedral(actors, gam, big, bmap, tuple(nf_of_index),
                           index_of_nf)

@@ -465,9 +465,12 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     automorphisms, and at every vertex the two local actions form a complete
     colour pair.  Conclusion, verified independently: every element of h,
     transported through the arc labeling, preserves the colours of the
-    Cayley form of the line graph of the subdivision of g.
+    Cayley form of the line graph of the subdivision of g.  Transport is a
+    homomorphism and colour-preserving maps form a group, so this is checked
+    on generators of h whose closure is verified to be h's realization.
 
-    Arc-regularity is certified by labelling the arcs from ``base_arc``.  A
+    Arc-regularity is certified by labelling the arcs from ``base_arc``.  An
+    h whose realization is not a permutation group raises ValueError.  A
     failed hypothesis returns hypotheses-fail; hypotheses passing but the
     conclusion failing raises, since the mathematics guarantees it.
     """
@@ -490,8 +493,12 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
 
     if h.realization is None:
         raise ValueError("overgroup needs a permutation realization")
+    h_gens, h_set = greedy_closure(h.realization,
+                                   tuple(range(len(h.realization[0]))),
+                                   _After, limit=len(h.realization))
+    if h_set != set(h.realization):
+        raise ValueError("overgroup realization is not a permutation group")
     grp_set = frozenset(grp.realization)
-    h_set = frozenset(h.realization)
     if not grp_set <= h_set:
         return fail("subgroup", "grp is not contained in h")
     checks.append(Check("subgroup", True, f"index {len(h_set) // len(grp_set)}"))
@@ -516,14 +523,12 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
                         f"complete colour pair at all {g.vertex_count} vertices"))
 
     cg, _, _ = cayley_form(labeling)
-    bad = 0
-    for p in h.realization:
-        t = induced_vertex_map(p, labeling)
-        if not is_colour_preserving(cg, t):
-            bad += 1
+    bad = sum(not is_colour_preserving(cg, induced_vertex_map(p, labeling))
+              for p in h_gens)
     if bad:
         raise InternalInconsistencyError(
-            f"hypotheses hold but {bad} transported maps break colours")
+            f"hypotheses hold but {bad} transported generators of h break "
+            "colours")
     checks.append(Check("conclusion-verified", True,
                         f"all {h.order} transported maps preserve colours"))
     return Verdict(VerdictKind.HYPOTHESES_OK, checks, context=cg, stats=stats,

@@ -38,7 +38,8 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     Verifies the whole package: the realization consists of graph
     automorphisms, the orbit map g -> g(base_arc) is a bijection onto the
     arcs (this is arc-regularity), and the labelling is equivariant, so
-    label(g(a)) = g * label(a) for every g and every arc a.
+    label(g(a)) = g * label(a) for every g and every arc a: the labels of
+    g's images of all arcs must equal g's row of the table.
     """
     if group.realization is None:
         raise ValueError("group needs a permutation realization")
@@ -60,22 +61,20 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     if group.order != len(all_arcs):
         raise ValueError(
             f"not arc-regular: |G| = {group.order}, {len(all_arcs)} arcs")
+    v = graph.vertex_count
+    label_of = [-1] * (v * v)  # the label of arc (t, h) at t*v + h
     elem_to_arc = []
-    arc_to_elem: dict[Arc, int] = {}
     for i, p in enumerate(group.realization):
         a = Arc(p[base_arc.tail], p[base_arc.head])
-        if a in arc_to_elem:
+        if label_of[a.tail * v + a.head] >= 0:
             raise ValueError("not arc-regular: two elements give one arc")
-        arc_to_elem[a] = i
+        label_of[a.tail * v + a.head] = i
         elem_to_arc.append(a)
     # orbit size |G| = arc count and no collisions, so this is a bijection
-    table = group.table
-    for gi, imgs in enumerate(group.realization):
-        row = table[gi]
-        for hi, a in enumerate(elem_to_arc):
-            if arc_to_elem[Arc(imgs[a.tail], imgs[a.head])] != row[hi]:
-                raise InternalInconsistencyError(
-                    "labelling is not equivariant")
+    for row, imgs in zip(group.table, group.realization):
+        if [label_of[imgs[t] * v + imgs[h]] for t, h in elem_to_arc] != row:
+            raise InternalInconsistencyError("labelling is not equivariant")
+    arc_to_elem = {a: i for i, a in enumerate(elem_to_arc)}
     return ArcLabeling(graph, group, base_arc, arc_to_elem, elem_to_arc)
 
 

@@ -21,7 +21,13 @@ comparing each placement with every placed vertex and each leaf over all
 vertex pairs, which ``kernels.search`` must match image for image and node
 for node; and ``set_built_pair_verdict`` builds the whole set of maps each
 pair shape predicts and compares it with the colour group, which
-``engine.is_complete_colour_pair`` must match kind, checks and witness.
+``engine.is_complete_colour_pair`` must match kind, checks and witness;
+``transported_colour_breaks`` transports every element of the overgroup
+through the arc labelling, where ``engine.arc_lift_harness`` transports a
+generating set; and ``model_table_pairs`` and ``model_wreath_elements``
+identify the K_{n,n} groups with model tables built by ``direct_product``
+and ``wreath_c2``, which the factor and wreath routes in ``bipartite`` must
+match element for element.
 """
 
 from itertools import combinations, permutations
@@ -29,12 +35,14 @@ from itertools import combinations, permutations
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind, _After,
                            _point_element_dictionaries,
                            colour_preserving_automorphisms, is_affine,
-                           is_cca_graph)
+                           is_cca_graph, is_colour_preserving)
 from ccakit.errors import CapExceededError
 from ccakit.graphs import cayley_graph, complete_colour_graph
-from ccakit.groups import (_format_word, automorphisms, extend_homomorphism,
+from ccakit.groups import (_format_word, automorphisms, dihedral,
+                           direct_product, extend_homomorphism,
                            greedy_closure, inverse_classes,
-                           q8_c2n_isomorphism, recognize_dicyclic)
+                           q8_c2n_isomorphism, recognize_dicyclic, wreath_c2)
+from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
 from ccakit.perm import compose
 
 
@@ -445,3 +453,39 @@ def set_built_pair_verdict(ghat, b):
     return Verdict(VerdictKind.PAIR_YES, checks, witness=witness,
                    context=kg, stats=aut.stats)
 
+
+
+def transported_colour_breaks(g, grp, h, base_arc=None):
+    """How many elements of h, each transported through the arc labelling
+    of g by grp, break a colour of the Cayley form."""
+    labeling = arc_labeling(g, grp, base_arc)
+    cg, _, _ = cayley_form(labeling)
+    return sum(not is_colour_preserving(cg, induced_vertex_map(p, labeling))
+               for p in h.realization)
+
+
+def model_table_pairs(a, b, names, images, group):
+    """Identify ``group`` with the table of A x B by extending the model's
+    generators ``names`` -> ``images``: x -> (i, j) for the model element
+    (i, j) sent to x, or None when that is not an isomorphism."""
+    model = direct_product(a, b, cap=a.order * b.order)
+    full = extend_homomorphism(model, [model.generators[x] for x in names],
+                               images, group)
+    if full is None or len(set(full)) != group.order:
+        return None
+    pairs = [None] * group.order
+    for m, x in enumerate(full):
+        pairs[x] = divmod(m, b.order)
+    return pairs
+
+
+def model_wreath_elements(h, n):
+    """The image in h of every element of the table of D_2n wr C2, in the
+    table's order, when r1, s1, r2, s2, t -> rho1, sigma1, rho2, sigma2, tau
+    extends to an isomorphism; None otherwise."""
+    wr = wreath_c2(dihedral(n), cap=8 * n * n)
+    full = extend_homomorphism(
+        wr, [wr.generators[x] for x in ("r1", "s1", "r2", "s2", "t")],
+        [h.generators[x] for x in ("rho1", "sigma1", "rho2", "sigma2", "tau")],
+        h)
+    return full if full is not None and len(set(full)) == h.order else None

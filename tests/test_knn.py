@@ -2,16 +2,21 @@
 
 import pytest
 
+from ccakit import bipartite, engine
 from ccakit.bipartite import (KnnActors, NormalForm, cyclic_dihedral_witness,
                               double_dihedral, double_dihedral_witness, gamma,
                               knn_actors, knn_cayley_form)
-from ccakit.engine import (VerdictKind, is_affine, is_colour_preserving,
-                           local_action, replay_witness)
-from ccakit.errors import PipelineError
+from ccakit.engine import (_After, VerdictKind, arc_lift_harness, is_affine,
+                           is_colour_preserving, local_action, replay_witness)
+from ccakit.errors import InternalInconsistencyError, PipelineError
 from ccakit.graphs import Arc
-from ccakit.groups import are_isomorphic, dihedral
-from ccakit.labeling import induced_vertex_map
+from ccakit.groups import (FiniteGroup, are_isomorphic, cyclic, dihedral,
+                           greedy_closure)
+from ccakit.labeling import arc_labeling, induced_vertex_map
 from ccakit.perm import compose, inverse, power
+
+from bruteforce import (model_table_pairs, model_wreath_elements,
+                        transported_colour_breaks)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -28,12 +33,14 @@ def test_actor_invariants(n):
 
 
 def test_overgroup_is_built_once_and_only_when_read(monkeypatch):
-    import ccakit.bipartite as bipartite
+    real_closure = bipartite.closure
 
-    def no_wreath(*args, **kwargs):
-        raise AssertionError("H was built")
+    def closure_but_not_h(gens, **kwargs):
+        if kwargs.get("name", "").startswith("H("):
+            raise AssertionError("H was built")
+        return real_closure(gens, **kwargs)
 
-    monkeypatch.setattr(bipartite, "wreath_c2", no_wreath)
+    monkeypatch.setattr(bipartite, "closure", closure_but_not_h)
     v = double_dihedral_witness(3)
     assert v.kind is VerdictKind.NON_CCA
     assert replay_witness(v)
@@ -172,3 +179,90 @@ def test_double_dihedral_witness(n):
     assert "phi-two-routes" in names and "multiplicativity-probe" in names
     assert v.context.graph.vertex_count == 4 * n * n
     assert replay_witness(v)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_factor_and_wreath_routes_match_the_model_tables(n, monkeypatch):
+    """G, <G, gamma> and H are identified on generators and factors; the
+    model-table identifications they replaced give the same element maps."""
+    seen = []
+    real = bipartite._factor_pairs
+    monkeypatch.setattr(bipartite, "_factor_pairs",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    a = knn_actors(n)
+    dd = double_dihedral(a)
+    g_pairs, big_pairs = seen
+    u = compose(a.rho1, a.rho2)
+    v = compose(inverse(a.rho1), a.rho2)
+    assert g_pairs is not None and g_pairs == model_table_pairs(
+        cyclic(n), dihedral(n), ("r1", "r2", "s2"),
+        [a.g_index(u), a.g_index(v), a.g_index(a.tau)], a.g)
+    bmap = dd.index_map
+    assert big_pairs is not None and big_pairs == model_table_pairs(
+        dihedral(n), dihedral(n), ("r1", "s1", "r2", "s2"),
+        [bmap[u], dd.gamma_index, bmap[v], bmap[a.tau]], dd.group)
+    wreath = bipartite._wreath_elements(a.h, dihedral(n))
+    assert wreath is not None and wreath == model_wreath_elements(a.h, n)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_harness_generators_settle_every_transported_map(n):
+    """The harness transports a generating set of H; transporting every
+    element agrees, and the transported generators generate exactly the
+    transported elements."""
+    a = knn_actors(n)
+    v = arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)
+    assert v.kind is VerdictKind.HYPOTHESES_OK
+    assert v.checks[-1].detail == \
+        f"all {8 * n * n} transported maps preserve colours"
+    assert transported_colour_breaks(a.graph, a.g, a.h, a.base_arc) == 0
+    labeling = arc_labeling(a.graph, a.g, a.base_arc)
+    gens, _ = greedy_closure(a.h.realization, tuple(range(2 * n)), _After)
+    _, span = greedy_closure([induced_vertex_map(p, labeling) for p in gens],
+                             tuple(range(a.g.order)), _After)
+    assert span == {induced_vertex_map(p, labeling)
+                    for p in a.h.realization}
+
+
+def test_a_wrong_generator_image_fails_each_identification(monkeypatch):
+    a = knn_actors(3)
+    real = bipartite.extend_homomorphism
+
+    def first_image_trivial(g, gens, images, h):
+        return real(g, gens, [h.identity, *images[1:]], h)
+
+    monkeypatch.setattr(bipartite, "extend_homomorphism", first_image_trivial)
+    for build, stage, msg in (
+            (lambda: knn_actors(3), "actors", "G does not match C_n x D_2n"),
+            (lambda: double_dihedral(a), "double-dihedral",
+             "does not match D_2n x D_2n"),
+            (lambda: a.h, "actors", "H does not match the doubled dihedral")):
+        with pytest.raises(PipelineError, match=msg) as info:
+            build()
+        assert info.value.stage == stage
+
+
+def test_harness_refuses_an_overgroup_that_is_not_a_group():
+    a = knn_actors(3)
+    h = a.h
+    for realization in (h.realization[1:] + [h.realization[1]],  # no identity
+                        h.realization[:-1] + [h.realization[1]]):
+        fake = FiniteGroup(h.elements, h.table, realization=realization)
+        with pytest.raises(ValueError, match="not a permutation group"):
+            arc_lift_harness(a.graph, a.g, fake, base_arc=a.base_arc)
+
+
+def test_harness_raises_when_a_transported_generator_breaks_a_colour(
+        monkeypatch):
+    a = knn_actors(3)
+    real = engine.induced_vertex_map
+
+    def swap_two_vertices(p, labeling):
+        t = list(real(p, labeling))
+        t[0], t[1] = t[1], t[0]
+        return tuple(t)
+
+    monkeypatch.setattr(engine, "induced_vertex_map", swap_two_vertices)
+    with pytest.raises(InternalInconsistencyError,
+                       match="transported generators of h break colours"):
+        arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)

@@ -5,6 +5,7 @@ import pytest
 from ccakit.graphs import Arc, arcs, cayley_graph, is_connected
 from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
 from ccakit.engine import is_affine, is_colour_preserving
+from ccakit.errors import InternalInconsistencyError
 from ccakit.groups import closure
 from ccakit.perm import from_cycles
 
@@ -32,6 +33,16 @@ def test_arc_labeling_bijective_and_equivariant():
     for arc, elem in lab.arc_to_elem.items():
         moved = Arc(p[arc.tail], p[arc.head])
         assert lab.arc_to_elem[moved] == grp.table[5][elem]
+
+
+def test_arc_labeling_refuses_a_table_with_two_entries_swapped():
+    g = hexagon()
+    grp = dihedral_action()
+    row = grp.table[5]
+    row[2], row[7] = row[7], row[2]
+    with pytest.raises(InternalInconsistencyError,
+                       match="labelling is not equivariant"):
+        arc_labeling(g, grp)
 
 
 def test_arc_labeling_rejects_wrong_size():
