@@ -435,7 +435,9 @@ def local_action(grp: FiniteGroup, g: ColouredGraph, v: int) -> FiniteGroup:
     """The vertex stabilizer of v, restricted to the neighbourhood of v.
 
     Points of the result are positions in the sorted neighbour list; the
-    kernel of the restriction is quotiented away by deduplication.
+    kernel of the restriction is quotiented away by deduplication.  The
+    group is closed from the restrictions ``greedy_closure`` keeps, and must
+    hold exactly the restrictions seen.
     """
     if grp.realization is None:
         raise ValueError("group needs a permutation realization")
@@ -452,7 +454,9 @@ def local_action(grp: FiniteGroup, g: ColouredGraph, v: int) -> FiniteGroup:
                 "stabilizer element does not preserve the neighbourhood"
             ) from exc
         seen.setdefault(restricted, None)
-    result = closure(list(seen), cap=len(seen) + 1)
+    identity = tuple(range(len(nbrs)))
+    gens, _ = greedy_closure(seen, identity, _After)
+    result = closure(gens or [identity], cap=len(seen) + 1)
     if result.order != len(seen):
         raise InternalInconsistencyError(
             "restricted stabilizer set is not closed")

@@ -463,6 +463,7 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
         except ValueError as exc:
             raise _at(e.pos, str(exc)) from None
     if isinstance(e, EQ8):
+        _within_cap(8)
         return quaternion()
     if isinstance(e, EDih):
         inner = elaborate(e.inner, env)

@@ -27,10 +27,13 @@ through the arc labelling, where ``engine.arc_lift_harness`` transports a
 generating set; and ``model_table_pairs`` and ``model_wreath_elements``
 identify the K_{n,n} groups with model tables built by ``direct_product``
 and ``wreath_c2``, which the factor and wreath routes in ``bipartite`` must
-match element for element.
+match element for element; ``normal_forms_by_composition`` composes every
+word rho1^i1 rho2^i2 tau^e gamma^d and ``phi_by_transport`` transports
+sigma2 along the arc labels, which the normal forms and the flip that
+``bipartite.double_dihedral`` reads off its factor pairing must match.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind, _After,
                            _point_element_dictionaries,
@@ -43,7 +46,7 @@ from ccakit.groups import (_format_word, automorphisms, dihedral,
                            greedy_closure, inverse_classes,
                            q8_c2n_isomorphism, recognize_dicyclic, wreath_c2)
 from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
-from ccakit.perm import compose
+from ccakit.perm import compose, power
 
 
 def brute_colour_automorphisms(n: int, edge_colour: dict) -> set:
@@ -489,3 +492,34 @@ def model_wreath_elements(h, n):
         [h.generators[x] for x in ("rho1", "sigma1", "rho2", "sigma2", "tau")],
         h)
     return full if full is not None and len(set(full)) == h.order else None
+
+
+def normal_forms_by_composition(dd):
+    """The exponents (i1, i2, e, d) of the word rho1^i1 rho2^i2 tau^e gamma^d
+    landing on each element of <G, gamma>, by composing all 4n^2 words; None
+    when two words land on one element."""
+    a = dd.actors
+    nfs = [None] * dd.group.order
+    for i1, i2, e, d in product(range(a.n), range(a.n), (0, 1), (0, 1)):
+        word = compose(compose(power(a.rho1, i1), power(a.rho2, i2)),
+                       compose(power(a.tau, e), power(dd.gamma, d)))
+        x = dd.index_map[word]
+        if nfs[x] is not None:
+            return None
+        nfs[x] = (i1, i2, e, d)
+    return tuple(nfs)
+
+
+def phi_by_transport(dd):
+    """sigma2 transported along the arc labels of K_{n,n} to a permutation
+    of G, extended to <G, gamma> by phi(g gamma) = phi(g) gamma."""
+    a, big = dd.actors, dd.group
+    t_sigma2 = induced_vertex_map(
+        a.sigma2, arc_labeling(a.graph, a.g, a.base_arc))
+    g_in_big = [dd.index_map[p] for p in a.g.realization]
+    phi = [None] * big.order
+    for gi, here in enumerate(g_in_big):
+        moved = g_in_big[t_sigma2[gi]]
+        phi[here] = moved
+        phi[big.mult(here, dd.gamma_index)] = big.mult(moved, dd.gamma_index)
+    return tuple(phi)

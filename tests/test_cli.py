@@ -98,13 +98,17 @@ def test_cap_handling(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("expr", ["C(17)", "D(9)", "Dih(C(9))",
-                                  "Dic(C(10), r^5)", "Perm[(0 16)]"])
-def test_order_cap_holds_for_every_head(capsys, monkeypatch, expr):
-    monkeypatch.setenv("CCA_MAX_ORDER", "16")
+CAPPED_HEADS = [("C(17)", 16), ("D(9)", 16), ("Dih(C(9))", 16),
+                ("Dic(C(10), r^5)", 16), ("Perm[(0 16)]", 16), ("Q8", 4)]
+
+
+@pytest.mark.parametrize("expr, cap", CAPPED_HEADS,
+                         ids=[expr for expr, _ in CAPPED_HEADS])
+def test_order_cap_holds_for_every_head(capsys, monkeypatch, expr, cap):
+    monkeypatch.setenv("CCA_MAX_ORDER", str(cap))
     d = run_json(capsys, "check-group", expr)
     assert d["verdict"]["kind"] == "unknown-cap"
-    assert d["verdict"]["checks"][0]["detail"].endswith("exceeds cap 16")
+    assert d["verdict"]["checks"][0]["detail"].endswith(f"exceeds cap {cap}")
     assert run(capsys, "check-group", expr, "--strict")[0] == 2
 
 

@@ -16,6 +16,7 @@ from ccakit.labeling import arc_labeling, induced_vertex_map
 from ccakit.perm import compose, inverse, power
 
 from bruteforce import (model_table_pairs, model_wreath_elements,
+                        normal_forms_by_composition, phi_by_transport,
                         transported_colour_breaks)
 
 
@@ -153,21 +154,19 @@ def test_rebasing_identity_by_hand():
             assert lhs == rhs, (i, j)
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_phi_action_on_normal_forms(n):
-    a = knn_actors(n)
-    dd = double_dihedral(a)
+    """The normal forms and phi, read off the factor pairing, match the
+    composed words and sigma2 transported along the arc labels."""
+    dd = double_dihedral(knn_actors(n))
+    order = dd.group.order
+    assert normal_forms_by_composition(dd) == tuple(
+        dd.normal_form(i) for i in range(order))
     phi = dd.phi()
-    ident = dd.group.identity
-    assert phi[ident] == ident
+    assert phi_by_transport(dd) == phi
+    assert phi[dd.group.identity] == dd.group.identity
     # phi is an involution on indices
-    assert compose(phi, phi) == tuple(range(dd.group.order))
-    for i in range(dd.group.order):
-        nf = dd.normal_form(i)
-        img = dd.normal_form(phi[i])
-        assert img.i1 == nf.i1
-        assert img.i2 == (-nf.i2) % n
-        assert img.e == nf.e and img.d == nf.d
+    assert compose(phi, phi) == tuple(range(order))
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -175,8 +174,9 @@ def test_double_dihedral_witness(n):
     v = double_dihedral_witness(n)
     assert v.kind is VerdictKind.NON_CCA
     assert all(c.passed for c in v.checks)
-    names = [c.name for c in v.checks]
-    assert "phi-two-routes" in names and "multiplicativity-probe" in names
+    assert [c.name for c in v.checks] == [
+        "double-dihedral", "graph", "witness-colour-preserving",
+        "witness-not-affine", "multiplicativity-probe"]
     assert v.context.graph.vertex_count == 4 * n * n
     assert replay_witness(v)
 
@@ -240,6 +240,19 @@ def test_a_wrong_generator_image_fails_each_identification(monkeypatch):
         with pytest.raises(PipelineError, match=msg) as info:
             build()
         assert info.value.stage == stage
+
+
+def test_a_wrong_gamma_fails_at_the_double_dihedral_stage(monkeypatch):
+    """gamma checks nothing itself; the D_2n x D_2n identification of
+    <G, gamma> refuses a wrong one, whatever goes wrong."""
+    a = knn_actors(3)
+    for wrong, msg in ((compose(a.sigma1, a.sigma2), "does not match"),
+                       (a.sigma1, "exceeds cap 36"),
+                       (a.tau, "= 18, wanted 36")):
+        monkeypatch.setattr(bipartite, "gamma", lambda actors: wrong)
+        with pytest.raises(PipelineError, match=msg) as info:
+            double_dihedral(a)
+        assert info.value.stage == "double-dihedral"
 
 
 def test_harness_refuses_an_overgroup_that_is_not_a_group():

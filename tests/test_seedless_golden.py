@@ -20,12 +20,14 @@ to examine only inclusion-minimal connection sets, and only after
 their reports equal to those of the walk over every generating set up to
 the counts that walk lowers.
 
-The four tasks in ``RESTORED`` were re-pinned once, when ``is_cca_graph``
-came to decide each graph by one affinity route (dropping its
-``translations-present`` and ``stabilizer-formulation`` checks) and
-``witness-thm31`` stopped building the overgroup H, and only after
+The tasks in ``RESTORED`` were each re-pinned once, and only after
 ``test_restored_reports_hash_to_their_old_digests`` rebuilt their old bytes
-from the new reports.
+from the new reports: the first four when ``is_cca_graph`` came to decide
+each graph by one affinity route (dropping its ``translations-present`` and
+``stabilizer-formulation`` checks) and ``witness-thm31`` stopped building
+the overgroup H, the three ``witness-prop33`` tasks when phi came to be
+read off the D_2n x D_2n factor pairing by one route (dropping the
+``phi-two-routes`` check).
 """
 
 import hashlib
@@ -34,7 +36,7 @@ import sys
 
 import pytest
 
-from ccakit import cli, engine
+from ccakit import bipartite, cli, engine
 from ccakit.cli import main
 from ccakit.report import to_json
 from ccakit.speclang import elaborate, parse_expr
@@ -57,11 +59,11 @@ GOLDEN = [
       "witness-thm31-5.dot":
       "b9a7189bdfad00d757d1972c8901c192ceac489b97a6871a086137e1e5986f5e"}),
     (("witness-prop33", "--n", "3"),
-     "44169b20731b82073f99246ad8c92053fa9f97ac623b8c55b212097c3eb4be25", {}),
+     "da6bc80c7f3f1005dfba179848902340106ee5f7e26b17a5af38365f359151b3", {}),
     (("harness-4-10", "--n", "3"),
      "5bbf959e564d437ef7892f281ea7a9e9b8b155663fdbdcc187b37b174c369b68", {}),
     (("witness-prop33", "--n", "5"),
-     "7f5ceb7c89c00886e23176c26b651f7213d97d059aea134efd7809ea290479b7", {}),
+     "80f35674d251a773f94dcaa930019979f6694bc69b4c293958037fce61844391", {}),
     (("harness-4-10", "--n", "5"),
      "dc2c03f7782c6607fb0ecc2d6764d94cc3ef846be50066a1fa59f9f828a77baf", {}),
     # the abelian inversion shape
@@ -89,7 +91,7 @@ GOLDEN = [
       "witness-thm31-9.dot":
       "471e8dbaf029d3ae1b60bfb635cca328ab7ce3befd3032bccb610f0bded221d7"}),
     (("witness-prop33", "--n", "9"),
-     "9ec2e05d75009a16f9cf0ea539bb2cb9109bbb1411df32736b50e346476c1af2", {}),
+     "1950c1486e755eddf8a6d66d420408f9069bf165cb42bb48a7d76d81ba6a936d", {}),
     (("harness-4-10", "--n", "7"),
      "de690ef6728d424d3be2821d501afb5d516a15d0b0baf90c09d08bea1be0f2ac", {}),
     (("census", "--orders", "4..18"),
@@ -151,7 +153,8 @@ def _sha(data: bytes) -> str:
 
 
 # tasks whose digests moved when is_cca_graph came to run one affinity route
-# and witness-thm31 stopped building H, with their digests before that
+# and witness-thm31 stopped building H, or when witness-prop33 came to build
+# phi by one route, with their digests before that
 RESTORED = [
     (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
      "cb026468c259474a578c476aa4fda2badc4f55c2fd2df751b033fb44c69e76b7"),
@@ -161,15 +164,27 @@ RESTORED = [
      "35cc7331b9e245d0c3e93e0b4c7382b9e7ec5695a68aec340f208544b98ffeba"),
     (("witness-thm31", "--n", "9", "--emit", "both"),
      "08b12d2217cba4fcb7a57d81693d4b7f3fd3c22787c47a73b1ef7ca19e7c20b5"),
+    # moved when witness-prop33 came to read phi off the factor pairing
+    (("witness-prop33", "--n", "3"),
+     "44169b20731b82073f99246ad8c92053fa9f97ac623b8c55b212097c3eb4be25"),
+    (("witness-prop33", "--n", "5"),
+     "7f5ceb7c89c00886e23176c26b651f7213d97d059aea134efd7809ea290479b7"),
+    (("witness-prop33", "--n", "9"),
+     "9ec2e05d75009a16f9cf0ea539bb2cb9109bbb1411df32736b50e346476c1af2"),
 ]
 
 
 def _restore_dropped_checks(argv: tuple[str, ...], report: dict) -> None:
     """Put back what the report said before: the two checks is_cca_graph
-    made while it ran both affinity routes, or the |H| that witness-thm31
-    printed while it built H."""
+    made while it ran both affinity routes, the |H| that witness-thm31
+    printed while it built H, or the check witness-prop33 made while it
+    built phi by two routes."""
     checks = report["verdict"]["checks"]
-    if argv[0] == "check-graph":
+    if argv[0] == "witness-prop33":
+        assert [c["name"] for c in checks][:2] == ["double-dihedral", "graph"]
+        checks.insert(2, {"name": "phi-two-routes", "pass": True,
+                          "detail": "exponent route equals transport route"})
+    elif argv[0] == "check-graph":
         order = elaborate(parse_expr(argv[1]), {}).order
         assert [c["name"] for c in checks] == ["search", "all-affine"]
         checks[1:1] = [
@@ -234,6 +249,20 @@ def test_verdicts_close_nothing_and_run_one_affinity_route(capsys,
     assert replayed == [tuple(v["witness_images"])
                         for v in _verdicts(json.loads(out))
                         if v["kind"] == "non-CCA"]
+
+
+def test_prop33_builds_no_arc_labelling(capsys, monkeypatch):
+    """witness-prop33 reads phi off the factor pairing: with arc labelling
+    and transport refused, its pinned bytes still come out."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("arc labelling used")
+
+    monkeypatch.setattr(bipartite, "arc_labeling", refuse)
+    monkeypatch.setattr(bipartite, "induced_vertex_map", refuse)
+    argv = ("witness-prop33", "--n", "5")
+    assert main([*argv, "--seedless"]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
 
 
 @pytest.mark.parametrize("argv, stdout_digest, files", GOLDEN,
