@@ -72,13 +72,12 @@ def _wreath_elements(h: FiniteGroup, d: FiniteGroup) -> list[int] | None:
 
 
 class KnnActors:
-    """The named permutations on K_{n,n}, the group G they generate and,
-    built on first read, the overgroup H."""
+    """The named permutations on K_{n,n} and, each built on first read, the
+    group G they generate and the overgroup H."""
 
     def __init__(self, n: int, graph: ColouredGraph, rho1: tuple,
-                 rho2: tuple, sigma1: tuple, sigma2: tuple, tau: tuple,
-                 g: FiniteGroup):
-        self.n, self.graph, self.g = n, graph, g
+                 rho2: tuple, sigma1: tuple, sigma2: tuple, tau: tuple):
+        self.n, self.graph = n, graph
         self.rho1, self.rho2, self.tau = rho1, rho2, tau
         self.sigma1, self.sigma2 = sigma1, sigma2
 
@@ -86,6 +85,27 @@ class KnnActors:
     def base_arc(self) -> Arc:
         """tau(b_0) = a_0 toward b_0, the arc the labelling hangs from."""
         return Arc(0, self.n)
+
+    @cached_property
+    def g(self) -> FiniteGroup:
+        """<rho1, rho2, tau>, checked on first read to have order 2n^2, to
+        miss sigma2 and to be C_n x D_2n (by homomorphisms onto the two
+        factors whose pairing is injective; the central factor is
+        <rho1 rho2>)."""
+        n, rho1, rho2, tau = self.n, self.rho1, self.rho2, self.tau
+        g = closure([rho1, rho2, tau], cap=2 * n * n,
+                    names=["rho1", "rho2", "tau"], name=f"G({n})")
+        _stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
+        real = g.realization
+        _stage(self.sigma2 not in real, "sigma2 lies inside G")
+        gens = [real.index(compose(rho1, rho2)),
+                real.index(compose(inverse(rho1), rho2)), real.index(tau)]
+        c, d = cyclic(n), dihedral(n)
+        c_images = [c.generators["r"], c.identity, c.identity]
+        d_images = [d.identity, d.generators["r"], d.generators["s"]]
+        _stage(_factor_pairs(g, gens, c, c_images, d, d_images) is not None,
+               "G does not match C_n x D_2n")
+        return g
 
     @cached_property
     def g_map(self) -> dict:
@@ -115,14 +135,10 @@ class KnnActors:
 
 
 def knn_actors(n: int) -> KnnActors:
-    """Build the actors for K_{n,n} and verify their structure.
-
-    Checks |G| = 2n^2 with G isomorphic to C_n x D_2n (by homomorphisms
-    onto the two factors whose pairing is injective), the swap relations
-    tau rho1 tau = rho2 and tau sigma1 tau = sigma2, that sigma2 lies
-    outside G, and that rho2^2 already generates <rho2> (n is odd).  H is
-    built and checked only when ``h`` is first read.
-    """
+    """Build the five permutations on K_{n,n} and check the swap relations
+    tau rho1 tau = rho2 and tau sigma1 tau = sigma2, and that rho2^2
+    generates <rho2> (n is odd).  G and H are built and checked when ``g``
+    and ``h`` are first read; ``witness-prop33`` reads neither."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
     pts = 2 * n
@@ -152,24 +168,8 @@ def knn_actors(n: int) -> KnnActors:
     _stage({power(rho2, 2 * k) for k in range(n)}
            == {power(rho2, k) for k in range(n)},
            "rho2^2 generates less than rho2")
-
-    g = closure([rho1, rho2, tau], cap=2 * n * n,
-                names=["rho1", "rho2", "tau"], name=f"G({n})")
-    _stage(g.order == 2 * n * n, f"|G| = {g.order}, wanted {2 * n * n}")
-    actors = KnnActors(n, complete_bipartite(n, n), rho1, rho2, sigma1,
-                       sigma2, tau, g)
-    _stage(sigma2 not in actors.g_map, "sigma2 lies inside G")
-
-    # G is C_n x D_2n: the central factor is <rho1 rho2>
-    gens = [actors.g_index(compose(rho1, rho2)),
-            actors.g_index(compose(inverse(rho1), rho2)),
-            actors.g_index(tau)]
-    c, d = cyclic(n), dihedral(n)
-    c_images = [c.generators["r"], c.identity, c.identity]
-    d_images = [d.identity, d.generators["r"], d.generators["s"]]
-    _stage(_factor_pairs(g, gens, c, c_images, d, d_images) is not None,
-           "G does not match C_n x D_2n")
-    return actors
+    return KnnActors(n, complete_bipartite(n, n), rho1, rho2, sigma1,
+                     sigma2, tau)
 
 
 def _expected_connection(actors: KnnActors) -> list[int]:

@@ -28,7 +28,7 @@ from .engine import (Check, SearchStats, Verdict, VerdictKind,
 from .errors import (CapExceededError, InternalInconsistencyError,
                      PipelineError, SpecElabError, SpecSyntaxError)
 from .graphs import CayleyColouredGraph, cayley_graph
-from .groups import FiniteGroup, closure, left_regular
+from .groups import FiniteGroup, closure, left_regular, within_cap
 
 
 class _UsageError(Exception):
@@ -156,14 +156,11 @@ def _dispatch(parser, args, task_str, env, slug_prefix) -> int:
         ghat = left_regular(g)
         v = is_complete_colour_pair(ghat, _realize_pair_b(args, g, ghat, env))
     elif cmd == "witness-thm31":
-        _need_odd(args.n)
-        v = cyclic_dihedral_witness(args.n)
+        v = cyclic_dihedral_witness(_knn_n(args.n, 2))
     elif cmd == "witness-prop33":
-        _need_odd(args.n)
-        v = double_dihedral_witness(args.n)
+        v = double_dihedral_witness(_knn_n(args.n, 4))
     elif cmd == "harness-4-10":
-        _need_odd(args.n)
-        actors = knn_actors(args.n)
+        actors = knn_actors(_knn_n(args.n, 8))
         v = arc_lift_harness(actors.graph, actors.g, actors.h,
                              base_arc=actors.base_arc)
     else:  # pragma: no cover - argparse rejects unknown commands
@@ -171,9 +168,12 @@ def _dispatch(parser, args, task_str, env, slug_prefix) -> int:
     return _finish(args, task_str, slug_prefix, v)
 
 
-def _need_odd(n: int) -> None:
+def _knn_n(n: int, factor: int) -> int:
+    """n, once odd, >= 3 and within the cap for the task's largest group."""
     if n < 3 or n % 2 == 0:
         raise _UsageError("--n must be odd and >= 3")
+    within_cap(factor * n * n)
+    return n
 
 
 def _realize_pair_b(args, g: FiniteGroup, ghat: FiniteGroup,

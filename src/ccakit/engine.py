@@ -471,7 +471,8 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     transported through the arc labeling, preserves the colours of the
     Cayley form of the line graph of the subdivision of g.  Transport is a
     homomorphism and colour-preserving maps form a group, so this is checked
-    on generators of h whose closure is verified to be h's realization.
+    on generators of h whose closure is verified to be h's realization; so
+    is the hypothesis that h acts by automorphisms, which also form a group.
 
     Arc-regularity is certified by labelling the arcs from ``base_arc``.  An
     h whose realization is not a permutation group raises ValueError.  A
@@ -507,10 +508,11 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
         return fail("subgroup", "grp is not contained in h")
     checks.append(Check("subgroup", True, f"index {len(h_set) // len(grp_set)}"))
 
-    bad = g.first_non_automorphism(h.realization)
+    bad = g.first_non_automorphism(h_gens)
     if bad is not None:
+        name = h.elements[h.realization.index(h_gens[bad])]
         return fail("h-automorphisms",
-                    f"element {h.elements[bad]} breaks an edge")
+                    f"element {name}, a generator of h, breaks an edge")
     checks.append(Check("h-automorphisms", True, ""))
 
     for v in range(g.vertex_count):

@@ -26,6 +26,13 @@ def default_cap() -> int:
     return cap
 
 
+def within_cap(size: int, cap: int | None = None, what: str = "order") -> None:
+    """Raise CapExceededError when ``size`` passes ``cap`` (default_cap())."""
+    cap = default_cap() if cap is None else cap
+    if size > cap:
+        raise CapExceededError(f"{what} {size} exceeds cap {cap}")
+
+
 class FiniteGroup:
     """A finite group given by an element list and a multiplication table.
 
@@ -34,6 +41,12 @@ class FiniteGroup:
     maps generator names to indices.  ``realization``, when present, assigns
     each index an image tuple (see ``perm``) and is a faithful
     homomorphism for the left-action composition convention.
+
+    The constructor trusts the table and keeps it uncopied: every
+    constructor here passes a list of lists that is a group table by
+    construction and that nothing mutates later.  It only finds the identity
+    (the row 0..n-1) and each inverse (the identity's place in its row);
+    ``validate`` certifies a table.
     """
 
     __slots__ = ("elements", "table", "identity", "inverse", "generators",
@@ -42,40 +55,13 @@ class FiniteGroup:
     def __init__(self, elements, table, generators=None, realization=None,
                  name=None):
         self.elements = list(elements)
-        n = len(self.elements)
-        if n == 0:
-            raise ValueError("a group needs at least the identity")
-        self.table = [list(row) for row in table]
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise ValueError("table shape does not match the element count")
-        # a line of n entries is a permutation iff its entries are 0..n-1
-        full = list(range(n))
-        every = set(full)
-        for row in self.table:
-            if set(row) != every:
-                raise ValueError("table row is not a permutation of indices")
-        for col in zip(*self.table):
-            if set(col) != every:
-                raise ValueError("table column is not a permutation of indices")
-        # rows are distinct once columns are permutations: one candidate
-        ident = next((e for e in range(n) if self.table[e] == full), None)
-        if ident is None or [row[ident] for row in self.table] != full:
-            raise ValueError("table has no two-sided identity")
-        self.identity = ident
-        # row i is a permutation, so i*j = identity has exactly one solution
-        inv = [row.index(ident) for row in self.table]
-        for i, j in enumerate(inv):
-            if self.table[j][i] != ident:
-                raise ValueError(f"element {i} has no two-sided inverse")
-        self.inverse = inv
+        self.table = table
+        full = list(range(len(self.elements)))
+        # a table without an identity row keeps 0, which validate() refuses
+        self.identity = next(
+            (e for e, row in enumerate(table) if row == full), 0)
+        self.inverse = [row.index(self.identity) for row in table]
         self.generators = dict(generators or {})
-        for gname, idx in self.generators.items():
-            if not 0 <= idx < n:
-                raise ValueError(f"generator {gname!r} index out of range")
-        if realization is not None:
-            realization = list(realization)
-            if len(realization) != n:
-                raise ValueError("realization length does not match order")
         self.realization = realization
         self.name = name
 
@@ -157,31 +143,42 @@ class FiniteGroup:
                            realization=realization)
 
     def validate(self) -> None:
-        """Exhaustive axiom check; associativity costs order-cubed."""
-        flat = [x for row in self.table for x in row]
-        bad = kernels.check_assoc(self.order, flat)
+        """Certify the group axioms; associativity costs order-cubed.
+
+        Checks the shape, that rows are permutations, a two-sided identity e,
+        associativity, the realization and the generator indices.  Columns
+        and inverses follow: row a is onto, so ab = e for some b, and bc = e
+        for some c; then a = a(bc) = (ab)c = c, so ba = e, each x -> xa is a
+        bijection and each column a permutation.
+        """
+        n, real = self.order, self.realization
+        if n == 0 or [len(row) for row in self.table] != [n] * n:
+            raise ValueError("table shape does not match the element count")
+        full = list(range(n))
+        if any(sorted(row) != full for row in self.table):
+            raise ValueError("table row is not a permutation of indices")
+        e = self.identity
+        if self.table[e] != full or [row[e] for row in self.table] != full:
+            raise ValueError("table has no two-sided identity")
+        bad = kernels.check_assoc(n, [x for row in self.table for x in row])
         if bad != -1:
-            k = bad % self.order
-            ij = bad // self.order
-            raise ValueError(
-                f"associativity fails at ({ij // self.order}, "
-                f"{ij % self.order}, {k})")
-        if self.realization is not None:
-            degree = len(self.realization[0])
-            for p in self.realization:
-                if perm.bijection(p) != p or len(p) != degree:
-                    raise ValueError(
-                        "realization must hold image tuples of one degree")
-            if len(set(self.realization)) != self.order:
+            raise ValueError(f"associativity fails at ({bad // n // n}, "
+                             f"{bad // n % n}, {bad % n})")
+        if real is not None:
+            if len(real) != n or any(perm.bijection(p) != p
+                                     or len(p) != len(real[0]) for p in real):
+                raise ValueError("realization must hold one image tuple of "
+                                 "one degree per element")
+            if len(set(real)) != n:
                 raise ValueError("realization is not faithful")
-            for i in range(self.order):
-                for j in range(self.order):
-                    lhs = self.realization[self.table[i][j]]
-                    rhs = perm.compose(self.realization[i],
-                                       self.realization[j])
-                    if lhs != rhs:
+            for i, row in enumerate(self.table):
+                for j, ij in enumerate(row):
+                    if real[ij] != perm.compose(real[i], real[j]):
                         raise ValueError(
                             f"realization is not a homomorphism at ({i},{j})")
+        for gname, idx in self.generators.items():
+            if not 0 <= idx < n:
+                raise ValueError(f"generator {gname!r} index out of range")
 
     def __repr__(self) -> str:
         label = self.name or "FiniteGroup"
@@ -422,10 +419,8 @@ def quaternion() -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup,
                    cap: int | None = None) -> FiniteGroup:
     """G x H; pair (i, j) at index i*|H| + j, generator names suffixed 1/2."""
-    cap = default_cap() if cap is None else cap
     size = g.order * h.order
-    if size > cap:
-        raise CapExceededError(f"order {size} exceeds cap {cap}")
+    within_cap(size, cap)
     m = h.order
     table = [[0] * size for _ in range(size)]
     for i1 in range(g.order):
@@ -452,11 +447,9 @@ def wreath_c2(g: FiniteGroup, cap: int | None = None) -> FiniteGroup:
 
     Element ((a, b), s) at index (a*|G| + b)*2 + s; t (a, b) t = (b, a).
     """
-    cap = default_cap() if cap is None else cap
     n = g.order
     size = 2 * n * n
-    if size > cap:
-        raise CapExceededError(f"order {size} exceeds cap {cap}")
+    within_cap(size, cap)
 
     def idx(a, b, s):
         return (a * n + b) * 2 + s

@@ -15,10 +15,10 @@ from __future__ import annotations
 import shlex
 from typing import NamedTuple
 
-from .errors import CapExceededError, SpecElabError, SpecSyntaxError
-from .groups import (FiniteGroup, closure, cyclic, default_cap, dihedral,
-                     direct_product, generalized_dicyclic,
-                     generalized_dihedral, quaternion, wreath_c2)
+from .errors import SpecElabError, SpecSyntaxError
+from .groups import (FiniteGroup, closure, cyclic, dihedral, direct_product,
+                     generalized_dicyclic, generalized_dihedral, quaternion,
+                     within_cap, wreath_c2)
 from .perm import from_cycles
 
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
@@ -435,12 +435,6 @@ def _at(pos: tuple[int, int], msg: str) -> SpecElabError:
     return SpecElabError(f"line {pos[0]}, column {pos[1]}: {msg}")
 
 
-def _within_cap(size: int, what: str = "order") -> None:
-    cap = default_cap()
-    if size > cap:
-        raise CapExceededError(f"{what} {size} exceeds cap {cap}")
-
-
 def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
     """Build the group an expression denotes.
 
@@ -454,20 +448,20 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
     if isinstance(e, ECyclic):
         if e.n < 1:
             raise _at(e.pos, "C(n) needs n >= 1")
-        _within_cap(e.n)
+        within_cap(e.n)
         return cyclic(e.n)
     if isinstance(e, EDihedral):
-        _within_cap(2 * e.n)
+        within_cap(2 * e.n)
         try:
             return dihedral(e.n)
         except ValueError as exc:
             raise _at(e.pos, str(exc)) from None
     if isinstance(e, EQ8):
-        _within_cap(8)
+        within_cap(8)
         return quaternion()
     if isinstance(e, EDih):
         inner = elaborate(e.inner, env)
-        _within_cap(2 * inner.order)
+        within_cap(2 * inner.order)
         try:
             return generalized_dihedral(inner)
         except ValueError as exc:
@@ -475,7 +469,7 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
     if isinstance(e, EDic):
         inner = elaborate(e.inner, env)
         y = evaluate_word(e.word, inner)
-        _within_cap(2 * inner.order)
+        within_cap(2 * inner.order)
         try:
             return generalized_dicyclic(inner, y)
         except ValueError as exc:
@@ -494,7 +488,7 @@ def elaborate(e, env: dict[str, FiniteGroup] | None = None) -> FiniteGroup:
                 degree = max(degree, max(cyc) + 1)
         if degree == 0:
             raise _at(e.pos, "Perm needs at least one cycle")
-        _within_cap(degree, "degree")
+        within_cap(degree, what="degree")
         perms = []
         for cycles in e.gens:
             try:

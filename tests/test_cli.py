@@ -112,6 +112,26 @@ def test_order_cap_holds_for_every_head(capsys, monkeypatch, expr, cap):
     assert run(capsys, "check-group", expr, "--strict")[0] == 2
 
 
+# at n = 3 each K_{n,n} task's largest group has order 2n^2, 4n^2 or 8n^2
+KNN_ORDERS = [("witness-thm31", 18, "non-CCA"),
+              ("witness-prop33", 36, "non-CCA"),
+              ("harness-4-10", 72, "hypotheses-ok")]
+
+
+@pytest.mark.parametrize("command, order, kind", KNN_ORDERS,
+                         ids=[command for command, _, _ in KNN_ORDERS])
+def test_order_cap_holds_for_every_knn_command(capsys, monkeypatch, command,
+                                               order, kind):
+    monkeypatch.setenv("CCA_MAX_ORDER", str(order - 1))
+    d = run_json(capsys, command, "--n", "3")
+    assert d["verdict"]["kind"] == "unknown-cap"
+    assert d["verdict"]["checks"][0]["detail"] == \
+        f"order {order} exceeds cap {order - 1}"
+    assert run(capsys, command, "--n", "3", "--strict")[0] == 2
+    monkeypatch.setenv("CCA_MAX_ORDER", str(order))
+    assert run_json(capsys, command, "--n", "3")["verdict"]["kind"] == kind
+
+
 def test_seedless_is_byte_deterministic(capsys):
     _, first, _ = run(capsys, "witness-thm31", "--n", "3", "--seedless")
     _, second, _ = run(capsys, "witness-thm31", "--n", "3", "--seedless")

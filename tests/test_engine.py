@@ -535,7 +535,7 @@ def test_harness_reports_failed_hypotheses():
     last = v.checks[-1]
     assert (last.name, last.passed) == ("h-automorphisms", False)
     assert last.detail.startswith("element ")
-    assert last.detail.endswith(" breaks an edge")
+    assert last.detail.endswith(", a generator of h, breaks an edge")
 
 
 def test_replay_witness_rejects_tampering():

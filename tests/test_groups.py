@@ -6,6 +6,7 @@ test.
 """
 
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from ccakit import perm
 from ccakit.bipartite import double_dihedral, knn_actors
+from ccakit.cli import _realize_pair_b
+from ccakit.engine import local_action
 from ccakit.errors import CapExceededError
 from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
                            closure, cyclic, dihedral, direct_product,
@@ -54,7 +57,31 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("g", CORPUS, ids=lambda g: g.name or "?")
+def _dih_point_group(a):
+    """The point group that ``pair G "Dih(G)"`` builds for B, G = C(a)."""
+    g = cyclic(a)
+    args = SimpleNamespace(g=f"C({a})", b=f"Dih(C({a}))")
+    return _realize_pair_b(args, g, left_regular(g), {})
+
+
+_A3, _A5 = knn_actors(3), knn_actors(5)
+_H3 = _A3.h
+# FiniteGroup trusts the tables its constructors build; these certify them
+BUILT = [
+    _A3.g, _A5.g, double_dihedral(_A3).group, double_dihedral(_A5).group,
+    _H3,
+    pytest.param(local_action(_H3, _A3.graph, 0), id="local-H(3)-at-a0"),
+    pytest.param(local_action(_A3.g, _A3.graph, 3), id="local-G(3)-at-b0"),
+    pytest.param(_H3.subgroup(_H3.subgroup_closure(
+        [_H3.generators["rho1"], _H3.generators["sigma1"]])),
+        id="subgroup-of-H(3)"),
+    left_regular(quaternion()),
+    wreath_c2(dihedral(3)),
+    _dih_point_group(6),
+]
+
+
+@pytest.mark.parametrize("g", CORPUS + BUILT, ids=lambda g: g.name or "?")
 def test_tables_are_groups(g):
     g.validate()
 
@@ -287,11 +314,6 @@ def test_greedy_closure_multiplies_each_element_once_per_generator(g):
     assert calls <= g.order * (len(kept) + 1)
 
 
-def test_h3_and_its_wreath_model_pass_validate():
-    knn_actors(3).h.validate()
-    wreath_c2(dihedral(3)).validate()
-
-
 # beside (1, 0, 2): a repeated image, an out-of-range image, a wrong length
 NON_BIJECTIONS = [(1, 1, 2), (1, 3, 2), (1, 0)]
 
@@ -322,20 +344,23 @@ LOOP5 = [[0, 1, 2, 3, 4],
 
 
 @pytest.mark.parametrize("table,match", [
-    ([[0, 1], [1]], "shape"),
+    # the constructor finds no identity in row 1 while finding inverses
+    ([[0, 1], [1]], "0 is not in list"),
     ([[0, 1], [1, 0], [0, 1]], "shape"),
     ([[0, 1], [0, 0]], "row is not a permutation"),
-    ([[0, 1], [0, 1]], "column is not a permutation"),
+    # the columns repeat, so row 0 is an identity on the left only
+    ([[0, 1], [0, 1]], "no two-sided identity"),
     ([[(i - j) % 3 for j in range(3)] for i in range(3)],
      "no two-sided identity"),
     ([[(j - i) % 3 for j in range(3)] for i in range(3)],  # left identity
      "no two-sided identity"),
-    (LOOP5, "element 2 has no two-sided inverse"),
+    # a loop with a one-sided inverse cannot be associative
+    (LOOP5, "associativity fails"),
 ], ids=["short-row", "extra-row", "row", "column", "no-identity",
         "left-identity-only", "one-sided-inverse"])
 def test_finite_group_rejects_non_groups(table, match):
     with pytest.raises(ValueError, match=match):
-        FiniteGroup([f"x{i}" for i in range(len(table[0]))], table)
+        FiniteGroup([f"x{i}" for i in range(len(table[0]))], table).validate()
 
 
 def test_closure_cap_is_loud():

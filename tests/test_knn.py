@@ -9,7 +9,7 @@ from ccakit.bipartite import (KnnActors, NormalForm, cyclic_dihedral_witness,
 from ccakit.engine import (_After, VerdictKind, arc_lift_harness, is_affine,
                            is_colour_preserving, local_action, replay_witness)
 from ccakit.errors import InternalInconsistencyError, PipelineError
-from ccakit.graphs import Arc
+from ccakit.graphs import Arc, ColouredGraph
 from ccakit.groups import (FiniteGroup, are_isomorphic, cyclic, dihedral,
                            greedy_closure)
 from ccakit.labeling import arc_labeling, induced_vertex_map
@@ -33,18 +33,24 @@ def test_actor_invariants(n):
     assert a.g_index(a.tau) >= 0
 
 
-def test_overgroup_is_built_once_and_only_when_read(monkeypatch):
+def _prop33_without(monkeypatch, group: str) -> None:
+    """Refuse every closure named ``group(...)``; double_dihedral_witness
+    must still give a replayed non-CCA verdict."""
     real_closure = bipartite.closure
 
-    def closure_but_not_h(gens, **kwargs):
-        if kwargs.get("name", "").startswith("H("):
-            raise AssertionError("H was built")
+    def closure_but_not(gens, **kwargs):
+        if kwargs.get("name", "").startswith(f"{group}("):
+            raise AssertionError(f"{group} was built")
         return real_closure(gens, **kwargs)
 
-    monkeypatch.setattr(bipartite, "closure", closure_but_not_h)
+    monkeypatch.setattr(bipartite, "closure", closure_but_not)
     v = double_dihedral_witness(3)
     assert v.kind is VerdictKind.NON_CCA
     assert replay_witness(v)
+
+
+def test_overgroup_is_built_once_and_only_when_read(monkeypatch):
+    _prop33_without(monkeypatch, "H")
     a = knn_actors(3)
     with pytest.raises(AssertionError, match="H was built"):
         a.h
@@ -52,6 +58,17 @@ def test_overgroup_is_built_once_and_only_when_read(monkeypatch):
     h = a.h
     assert a.h is h
     assert h.order == 72
+
+
+def test_g_is_built_once_and_only_when_read(monkeypatch):
+    _prop33_without(monkeypatch, "G")
+    a = knn_actors(3)
+    with pytest.raises(AssertionError, match="G was built"):
+        a.g
+    monkeypatch.undo()
+    g = a.g
+    assert a.g is g
+    assert g.order == 18
 
 
 def test_actor_parameter_validation():
@@ -190,6 +207,7 @@ def test_factor_and_wreath_routes_match_the_model_tables(n, monkeypatch):
     monkeypatch.setattr(bipartite, "_factor_pairs",
                         lambda *args: seen.append(real(*args)) or seen[-1])
     a = knn_actors(n)
+    a.g  # G is identified when first read
     dd = double_dihedral(a)
     g_pairs, big_pairs = seen
     u = compose(a.rho1, a.rho2)
@@ -233,7 +251,8 @@ def test_a_wrong_generator_image_fails_each_identification(monkeypatch):
 
     monkeypatch.setattr(bipartite, "extend_homomorphism", first_image_trivial)
     for build, stage, msg in (
-            (lambda: knn_actors(3), "actors", "G does not match C_n x D_2n"),
+            (lambda: knn_actors(3).g, "actors",
+             "G does not match C_n x D_2n"),
             (lambda: double_dihedral(a), "double-dihedral",
              "does not match D_2n x D_2n"),
             (lambda: a.h, "actors", "H does not match the doubled dihedral")):
@@ -253,6 +272,23 @@ def test_a_wrong_gamma_fails_at_the_double_dihedral_stage(monkeypatch):
         with pytest.raises(PipelineError, match=msg) as info:
             double_dihedral(a)
         assert info.value.stage == "double-dihedral"
+
+
+def test_harness_checks_automorphisms_on_generators_of_h(monkeypatch):
+    """Automorphisms form a group, so H acts by them once a generating set
+    does; no call is handed all 8n^2 elements."""
+    a = knn_actors(3)
+    sizes = []
+    real = ColouredGraph.first_non_automorphism
+
+    def recording(graph, perms):
+        sizes.append(len(perms))
+        return real(graph, perms)
+
+    monkeypatch.setattr(ColouredGraph, "first_non_automorphism", recording)
+    v = arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)
+    assert v.kind is VerdictKind.HYPOTHESES_OK
+    assert sizes and max(sizes) < a.h.order
 
 
 def test_harness_refuses_an_overgroup_that_is_not_a_group():
