@@ -19,16 +19,11 @@ import shlex
 import sys
 from pathlib import Path
 
+from . import bipartite, engine, graphs, groups
 from . import report as rep
 from . import speclang as lang
-from .bipartite import cyclic_dihedral_witness, double_dihedral_witness, knn_actors
-from .engine import (Check, SearchStats, Verdict, VerdictKind,
-                     arc_lift_harness, is_cca_graph, is_cca_group,
-                     is_complete_colour_pair)
 from .errors import (CapExceededError, InternalInconsistencyError,
                      PipelineError, SpecElabError, SpecSyntaxError)
-from .graphs import CayleyColouredGraph, cayley_graph
-from .groups import FiniteGroup, closure, left_regular, within_cap
 
 
 class _UsageError(Exception):
@@ -123,7 +118,8 @@ def _execute(parser: _Parser, args, task_str: str, env: dict,
         if args.strict:
             print(f"cap: {exc}", file=sys.stderr)
             return 2
-        v = Verdict(VerdictKind.UNKNOWN_CAP, [Check("cap", False, str(exc))])
+        v = engine.Verdict(engine.VerdictKind.UNKNOWN_CAP,
+                           [engine.Check("cap", False, str(exc))])
         try:
             return _finish(args, task_str, slug_prefix, v)
         except ValueError as inner:
@@ -146,23 +142,23 @@ def _dispatch(parser, args, task_str, env, slug_prefix) -> int:
     if cmd == "check-graph":
         g = lang.elaborate(lang.parse_expr(args.group), env)
         conn = lang.elaborate_connection(lang.parse_connection(args.connection), g)
-        cg = cayley_graph(g, conn)
-        v = is_cca_graph(cg)
+        v = engine.is_cca_graph(graphs.cayley_graph(g, conn))
     elif cmd == "check-group":
         g = lang.elaborate(lang.parse_expr(args.group), env)
-        v = is_cca_group(g, cap=args.cap)
+        v = engine.is_cca_group(g, cap=args.cap)
     elif cmd == "pair":
         g = lang.elaborate(lang.parse_expr(args.g), env)
-        ghat = left_regular(g)
-        v = is_complete_colour_pair(ghat, _realize_pair_b(args, g, ghat, env))
+        ghat = groups.left_regular(g)
+        b = _realize_pair_b(args, g, ghat, env)
+        v = engine.is_complete_colour_pair(ghat, b)
     elif cmd == "witness-thm31":
-        v = cyclic_dihedral_witness(_knn_n(args.n, 2))
+        v = bipartite.cyclic_dihedral_witness(_knn_n(args.n, 2))
     elif cmd == "witness-prop33":
-        v = double_dihedral_witness(_knn_n(args.n, 4))
+        v = bipartite.double_dihedral_witness(_knn_n(args.n, 4))
     elif cmd == "harness-4-10":
-        actors = knn_actors(_knn_n(args.n, 8))
-        v = arc_lift_harness(actors.graph, actors.g, actors.h,
-                             base_arc=actors.base_arc)
+        actors = bipartite.knn_actors(_knn_n(args.n, 8))
+        v = engine.arc_lift_harness(actors.graph, actors.g, actors.h,
+                                    base_arc=actors.base_arc)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise _UsageError(f"unknown command {cmd!r}")
     return _finish(args, task_str, slug_prefix, v)
@@ -172,12 +168,12 @@ def _knn_n(n: int, factor: int) -> int:
     """n, once odd, >= 3 and within the cap for the task's largest group."""
     if n < 3 or n % 2 == 0:
         raise _UsageError("--n must be odd and >= 3")
-    within_cap(factor * n * n)
+    groups.within_cap(factor * n * n)
     return n
 
 
-def _realize_pair_b(args, g: FiniteGroup, ghat: FiniteGroup,
-                    env: dict) -> FiniteGroup:
+def _realize_pair_b(args, g: groups.FiniteGroup, ghat: groups.FiniteGroup,
+                    env: dict) -> groups.FiniteGroup:
     """Turn the B argument into a permutation group on G's element indices.
 
     Accepted forms: the same expression as G (gives the left-regular copy),
@@ -193,7 +189,7 @@ def _realize_pair_b(args, g: FiniteGroup, ghat: FiniteGroup,
             raise SpecElabError("Dih(G) as a point group needs abelian G")
         gens = [tuple(row) for row in g.table]
         gens.append(tuple(g.inverse))
-        return closure(gens, name=f"Dih({g_text})")
+        return groups.closure(gens, name=f"Dih({g_text})")
     if isinstance(b_ast, lang.EPerms):
         return lang.elaborate(b_ast, env)
     raise SpecElabError(
@@ -211,21 +207,21 @@ def _task_slug(args) -> str:
     return rep.slugify(" ".join(parts))
 
 
-def _finish(args, task_str: str, slug_prefix: str, v: Verdict) -> int:
+def _finish(args, task_str: str, slug_prefix: str, v: engine.Verdict) -> int:
     rep.confirm_witness(v, note=args.verify)
     return _emit(args, task_str, slug_prefix, [v], v.context,
                  verdict=rep.verdict_payload(v))
 
 
-def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
+def _emit(args, task_str: str, slug_prefix: str, results: list[engine.Verdict],
           context, **body) -> int:
     """Print the report on ``results``, write the --out files, and pick the
     exit code: 2 under --strict when a cap blocked any of the results.  A
     DOT request without a graph to draw fails before anything is output."""
     draw = args.emit != "json"
-    if draw and not isinstance(context, CayleyColouredGraph):
+    if draw and not isinstance(context, graphs.CayleyColouredGraph):
         raise ValueError("this task produced no graph to draw")
-    stats = SearchStats()
+    stats = engine.SearchStats()
     for v in results:
         stats.add(v.stats)
     text = rep.to_json(rep.build_report(task_str, stats, args.seedless,
@@ -235,7 +231,7 @@ def _emit(args, task_str: str, slug_prefix: str, results: list[Verdict],
         slug = slug_prefix + _task_slug(args)
         dot_text = rep.render_dot(context.graph, slug) if draw else None
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
-    capped = any(v.kind is VerdictKind.UNKNOWN_CAP for v in results)
+    capped = any(v.kind is engine.VerdictKind.UNKNOWN_CAP for v in results)
     return 2 if capped and args.strict else 0
 
 
@@ -297,10 +293,10 @@ def _cmd_census(args, task_str: str, slug_prefix: str) -> int:
     for label, order in _census_catalog(a, b):
         try:
             g = lang.elaborate(lang.parse_expr(label), {})
-            v = is_cca_group(g, cap=args.cap)
+            v = engine.is_cca_group(g, cap=args.cap)
         except CapExceededError as exc:
-            v = Verdict(VerdictKind.UNKNOWN_CAP,
-                        [Check("cap", False, str(exc))])
+            v = engine.Verdict(engine.VerdictKind.UNKNOWN_CAP,
+                               [engine.Check("cap", False, str(exc))])
         rep.confirm_witness(v, note=args.verify)
         results.append(v)
         rows.append(rep.census_row(label, order, v))
@@ -312,7 +308,7 @@ def _cmd_census(args, task_str: str, slug_prefix: str) -> int:
 def _cmd_script(parser: _Parser, args) -> int:
     text = Path(args.file).read_text()
     prog = lang.parse_program(text)
-    env: dict[str, FiniteGroup] = {}
+    env: dict[str, groups.FiniteGroup] = {}
     for name, expr in prog.declarations:
         env[name] = lang.elaborate(expr, env)
     for k, task in enumerate(prog.tasks, start=1):

@@ -15,14 +15,13 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from . import kernels, perm
+from . import kernels, labeling, perm
 from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, automorphisms, closure, greedy_closure,
                      grow_closure, inverse_classes, q8_c2n_isomorphism,
                      recognize_dicyclic)
-from .labeling import arc_labeling, cayley_form, induced_vertex_map
 
 
 class VerdictKind(str, Enum):
@@ -491,7 +490,7 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     checks.append(Check("connected", True, ""))
 
     try:
-        labeling = arc_labeling(g, grp, base_arc)
+        lab = labeling.arc_labeling(g, grp, base_arc)
     except ValueError as exc:
         return fail("arc-regular", str(exc))
     checks.append(Check("arc-regular", True, f"{grp.order} arcs"))
@@ -528,8 +527,8 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     checks.append(Check("local-pairs", True,
                         f"complete colour pair at all {g.vertex_count} vertices"))
 
-    cg, _, _ = cayley_form(labeling)
-    bad = sum(not is_colour_preserving(cg, induced_vertex_map(p, labeling))
+    cg, _, _ = labeling.cayley_form(lab)
+    bad = sum(not is_colour_preserving(cg, labeling.induced_vertex_map(p, lab))
               for p in h_gens)
     if bad:
         raise InternalInconsistencyError(

@@ -15,7 +15,7 @@ from . import perm
 from .errors import InternalInconsistencyError
 from .graphs import (Arc, CayleyColouredGraph, ColouredGraph, arcs,
                      cayley_graph, line_graph, subdivision)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, minimal_generating_sequence
 
 
 class ArcLabeling(NamedTuple):
@@ -36,10 +36,12 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     """Label every arc by the group element that moves ``base_arc`` onto it.
 
     Verifies the whole package: the realization consists of graph
-    automorphisms, the orbit map g -> g(base_arc) is a bijection onto the
-    arcs (this is arc-regularity), and the labelling is equivariant, so
-    label(g(a)) = g * label(a) for every g and every arc a: the labels of
-    g's images of all arcs must equal g's row of the table.
+    automorphisms (checked on a generating sequence, since automorphisms
+    form a group; a failing generator is named), the orbit map
+    g -> g(base_arc) is a bijection onto the arcs (this is arc-regularity),
+    and the labelling is equivariant, so label(g(a)) = g * label(a) for
+    every g and every arc a: the labels of g's images of all arcs must equal
+    g's row of the table.
     """
     if group.realization is None:
         raise ValueError("group needs a permutation realization")
@@ -48,10 +50,11 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     all_arcs = arcs(graph)
     if not all_arcs:
         raise ValueError("graph has no arcs to label")
-    bad = graph.first_non_automorphism(group.realization)
+    gens = minimal_generating_sequence(group)
+    bad = graph.first_non_automorphism([group.realization[i] for i in gens])
     if bad is not None:
         raise ValueError(
-            f"element {group.elements[bad]} is not a graph automorphism")
+            f"element {group.elements[gens[bad]]} is not a graph automorphism")
     if base_arc is None:
         base_arc = all_arcs[0]
     else:

@@ -260,23 +260,91 @@ def test_search_deeper_than_the_recursion_limit(capsys):
     assert d["verdict"]["kind"] == "CCA"
 
 
+def _fresh_python(probe: str, *argv: str) -> str:
+    """stdout of ``probe`` run by a new interpreter on this ccakit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     probe = ("import sys; before = set(sys.modules); import ccakit.cli; "
              "print(sorted({'dataclasses', 'inspect'} "
              "& (set(sys.modules) - before)))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert _fresh_python(probe) == "[]\n"
+
+
+LAYERS = {"errors", "perm", "kernels", "groups", "graphs", "labeling",
+          "engine", "bipartite", "speclang", "report"}
+
+# Runs one command in a fresh process and prints its exit code and the
+# ccakit modules whose code ran; a layer not yet touched is still lazy.
+_RAN = """\
+import contextlib, io, sys, types
+import ccakit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ccakit.cli.main(sys.argv[1:])
+print(code, *sorted(name.split(".")[1] for name, m in sys.modules.items()
+                    if name.startswith("ccakit.")
+                    and type(m) is types.ModuleType))
+"""
+
+SPEC_COMMANDS = [("census", "--orders", "1..6"),
+                 ("check-graph", "C(6)", "{r} +inv"),
+                 ("check-group", "Q8"),
+                 ("pair", "C(3)", "Dih(C(3))")]
+KNN_COMMANDS = [(command, "--n", "3") for command, _, _ in KNN_ORDERS]
+
+
+def _modules_run(*argv: str) -> set[str]:
+    code, *ran = _fresh_python(_RAN, *argv).split()
+    assert code == "0"
+    return set(ran)
+
+
+def test_help_runs_only_the_cli_and_errors():
+    assert _modules_run("--help") == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv", SPEC_COMMANDS,
+                         ids=[a[0] for a in SPEC_COMMANDS])
+def test_spec_commands_run_no_knn_layers(argv):
+    assert _modules_run(*argv) == LAYERS - {"bipartite", "labeling"} | {"cli"}
+
+
+@pytest.mark.parametrize("argv", KNN_COMMANDS,
+                         ids=[a[0] for a in KNN_COMMANDS])
+def test_knn_commands_run_no_spec_language(argv):
+    assert _modules_run(*argv) == LAYERS - {"speclang"} | {"cli"}
+
+
+def test_importing_the_cli_registers_every_layer():
+    """A tracer that wraps functions after ``import ccakit.cli`` finds every
+    layer module in sys.modules, loaded or not."""
+    probe = ("import sys, ccakit.cli; print(*sorted(name.split('.')[1] "
+             "for name in sys.modules if name.startswith('ccakit.')))")
+    assert set(_fresh_python(probe).split()) == LAYERS | {"cli"}
+
+
+def test_package_names_resolve_to_their_defining_module():
+    import ccakit
+    assert ccakit.__all__ and set(ccakit.__all__) <= set(dir(ccakit))
+    for name in ccakit.__all__:
+        obj = getattr(ccakit, name)
+        assert obj.__module__.startswith("ccakit.")
+        assert obj is getattr(sys.modules[obj.__module__], name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ccakit.no_such_name
 
 
 def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
     def boom(cg):
         raise RuntimeError("engine exploded")
 
-    monkeypatch.setattr(cli, "is_cca_graph", boom)
+    monkeypatch.setattr(engine, "is_cca_graph", boom)
     code, out, err = run(capsys, "check-graph", "C(6)", "{r} +inv")
     assert code == 3
     assert out == ""
@@ -284,14 +352,14 @@ def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
 
 
 def test_malformed_witness_exits_3(capsys, monkeypatch):
-    is_cca_graph = cli.is_cca_graph
+    is_cca_graph = engine.is_cca_graph
 
     def short_witness(cg):
         v = is_cca_graph(cg)
         v.witness = v.witness[:-1]
         return v
 
-    monkeypatch.setattr(cli, "is_cca_graph", short_witness)
+    monkeypatch.setattr(engine, "is_cca_graph", short_witness)
     code, out, err = run(capsys, "check-graph", "Q8", "{i, j} +inv")
     assert code == 3
     assert out == ""

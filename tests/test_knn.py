@@ -2,7 +2,7 @@
 
 import pytest
 
-from ccakit import bipartite, engine
+from ccakit import bipartite, labeling
 from ccakit.bipartite import (KnnActors, NormalForm, cyclic_dihedral_witness,
                               double_dihedral, double_dihedral_witness, gamma,
                               knn_actors, knn_cayley_form)
@@ -304,14 +304,14 @@ def test_harness_refuses_an_overgroup_that_is_not_a_group():
 def test_harness_raises_when_a_transported_generator_breaks_a_colour(
         monkeypatch):
     a = knn_actors(3)
-    real = engine.induced_vertex_map
+    real = labeling.induced_vertex_map
 
-    def swap_two_vertices(p, labeling):
-        t = list(real(p, labeling))
+    def swap_two_vertices(p, lab):
+        t = list(real(p, lab))
         t[0], t[1] = t[1], t[0]
         return tuple(t)
 
-    monkeypatch.setattr(engine, "induced_vertex_map", swap_two_vertices)
+    monkeypatch.setattr(labeling, "induced_vertex_map", swap_two_vertices)
     with pytest.raises(InternalInconsistencyError,
                        match="transported generators of h break colours"):
         arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)

@@ -63,6 +63,30 @@ def test_arc_labeling_rejects_non_automorphisms_and_bad_bases():
         arc_labeling(g, dihedral_action(), base_arc=Arc(0, 2))
 
 
+def test_arc_labeling_checks_automorphisms_on_generators(monkeypatch):
+    """On the 8-cycle, x -> 3x is a group automorphism of Z8 but sends the
+    edge {0, 1} to {0, 3}; with the rotation it generates 16 elements, one
+    per arc, and only the two generators are checked."""
+    from ccakit.graphs import ColouredGraph
+    from ccakit.groups import cyclic
+    octagon = cayley_graph(cyclic(8), [1, 7]).graph
+    rot = from_cycles(8, [tuple(range(8))])
+    grp = closure([rot, tuple(3 * x % 8 for x in range(8))], names=["r", "m"])
+    assert grp.order == len(arcs(octagon)) == 16
+    sizes = []
+    real = ColouredGraph.first_non_automorphism
+
+    def recording(graph, perms):
+        sizes.append(len(perms))
+        return real(graph, perms)
+
+    monkeypatch.setattr(ColouredGraph, "first_non_automorphism", recording)
+    with pytest.raises(ValueError,
+                       match="^element m is not a graph automorphism$"):
+        arc_labeling(octagon, grp)
+    assert sizes == [2]
+
+
 def test_arc_labeling_respects_chosen_base():
     g = hexagon()
     grp = dihedral_action()

@@ -36,7 +36,7 @@ import sys
 
 import pytest
 
-from ccakit import bipartite, cli, engine
+from ccakit import bipartite, engine
 from ccakit.cli import main
 from ccakit.report import to_json
 from ccakit.speclang import elaborate, parse_expr
@@ -141,7 +141,7 @@ def test_moved_digests_differ_from_every_set_walk_only_in_counts(
         return json.loads(capsys.readouterr().out)
 
     minimal = report()
-    monkeypatch.setattr(cli, "is_cca_group", lambda g, cap=None:
+    monkeypatch.setattr(engine, "is_cca_group", lambda g, cap=None:
                         min_walk_verdict(g, cap or engine._ENUM_CAP)[0])
     every = report()
     assert minimal != every
