@@ -19,9 +19,9 @@ from . import kernels, labeling, perm
 from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
-from .groups import (FiniteGroup, automorphisms, closure, greedy_closure,
-                     grow_closure, inverse_classes, q8_c2n_isomorphism,
-                     recognize_dicyclic)
+from .groups import (FiniteGroup, automorphism_generators, closure,
+                     greedy_closure, grow_closure, inverse_classes,
+                     q8_c2n_isomorphism, recognize_dicyclic)
 
 
 class VerdictKind(str, Enum):
@@ -216,7 +216,7 @@ def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
                    stats=stats)
 
 
-_ENUM_CAP = 1 << 16  # Aut(G) listing limit, and the default cap
+_ENUM_CAP = 1 << 16  # default cap on the connection sets examined
 
 
 def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
@@ -232,10 +232,10 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     Dropping a class other than the last leaves a sequence met one size
     earlier, so a generating sequence is minimal when none of those generate.
     Minimal sets of one size come in ``combinations`` order; the first member
-    of each Aut(g) orbit met is examined and marks its orbit, all minimal too.
-    Aut(g) is listed up to 65,536 elements; above that every minimal set is
-    examined.  ``cap`` bounds the sets examined: reaching it before the walk
-    ends or a witness turns up returns unknown-cap instead of CCA.
+    of each Aut(g) orbit met is examined and marks its orbit, all minimal too,
+    by a breadth-first walk over the class permutations that generators of
+    Aut(g) induce.  ``cap`` bounds the sets examined: reaching it before the
+    walk ends or a witness turns up returns unknown-cap instead of CCA.
     """
     cap = _ENUM_CAP if cap is None else cap
     if cap < 1:
@@ -250,17 +250,11 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
         checks.append(Check("trivial-group", True, "only the empty graph"))
         return Verdict(v.kind, checks, context=cg, stats=v.stats)
 
-    auts = automorphisms(g, limit=_ENUM_CAP)
-    if auts is None:
-        checks.append(Check("orbit-pruning", False, f"|Aut(G)| > "
-                            f"{_ENUM_CAP}, examining every minimal set"))
-        class_maps = {tuple(range(len(classes)))}
-    else:
-        checks.append(Check("orbit-pruning", True, f"|Aut(G)| = {len(auts)}"))
-        # automorphisms permute the inverse classes
-        class_of = {c: k for k, cls in enumerate(classes) for c in cls}
-        class_maps = {tuple(class_of[a.images[cls[0]]] for cls in classes)
-                      for a in auts}
+    auts, aut_order = automorphism_generators(g)
+    checks.append(Check("orbit-pruning", True, f"|Aut(G)| = {aut_order}"))
+    # automorphisms permute the inverse classes
+    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+    class_maps = [tuple(class_of[a[cls[0]]] for cls in classes) for a in auts]
 
     reps = [cls[0] for cls in classes]
     marked: set[tuple[int, ...]] = set()  # minimal sets of examined orbits
@@ -284,8 +278,11 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
             if combo in marked or any(combo[:i] + combo[i + 1:] in spanning
                                       for i in range(len(combo) - 1)):
                 continue  # met in its orbit already, or not minimal
-            marked.update(tuple(sorted(m[k] for k in combo))
-                          for m in class_maps)
+            ring = {combo}  # the orbit's sets first met, level by level
+            while ring:
+                marked |= ring
+                ring = {tuple(sorted(m[k] for k in member))
+                        for member in ring for m in class_maps} - marked
             if processed >= cap:
                 checks.append(Check("connection-sets-examined", False,
                                     str(processed)))

@@ -544,22 +544,23 @@ def extend_homomorphism(g: FiniteGroup, gens: list[int], images: list[int],
     return ext[0]  # type: ignore[return-value]
 
 
-def _iso_candidates(g, h, gens):
+def _iso_candidates(g, h, gens, prefix=()):
     """Backtracking generator-image search; yields full image maps.
 
     gens must generate g.  Each choice of an image for gens[k] is kept only
     when gens[:k+1] -> chosen extends to an injective homomorphism on the
     subgroup gens[:k+1] generate, so every map yielded is an isomorphism
-    onto its image, in lexicographic order of the generator images.
+    onto its image, in lexicographic order of the generator images.  The
+    images of gens[:len(prefix)] are fixed to ``prefix``.
     """
-    g_orders = [g.element_order(i) for i in range(g.order)]
+    g_orders = [g.element_order(s) for s in gens]
     h_by_order: dict[int, list[int]] = {}
     for i in range(h.order):
         h_by_order.setdefault(h.element_order(i), []).append(i)
     chosen: list[int] = []
 
     def backtrack(k: int):
-        for cand in h_by_order.get(g_orders[gens[k]], []):
+        for cand in prefix[k:k + 1] or h_by_order.get(g_orders[k], []):
             chosen.append(cand)
             ext = _extend_over(g, gens[:k + 1], chosen, h)
             if ext is not None:
@@ -592,18 +593,36 @@ def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Isomorphism | None:
     return None
 
 
-def automorphisms(g: FiniteGroup, limit: int | None = None
-                  ) -> list[Isomorphism] | None:
-    """All automorphisms of g; None when more than ``limit`` exist."""
+def automorphisms(g: FiniteGroup) -> list[Isomorphism]:
+    """All automorphisms of g, listed in the search order."""
     gens = minimal_generating_sequence(g)
     if not gens:
         return [Isomorphism(g, g, (g.identity,))]
-    out = []
-    for f in _iso_candidates(g, g, gens):
-        out.append(Isomorphism(g, g, f))
-        if limit is not None and len(out) > limit:
-            return None
-    return out
+    return [Isomorphism(g, g, f) for f in _iso_candidates(g, g, gens)]
+
+
+def automorphism_generators(g: FiniteGroup) -> tuple[list[tuple], int]:
+    """Generators of Aut(g) as image tuples, and |Aut(g)|.
+
+    A stabilizer chain on g's generating sequence g_1..g_k (Sims), built from
+    the last level up: the maps found so far fix g_1..g_i, and each element
+    of g_{i+1}'s order outside their orbit of g_{i+1} is tried by one search
+    fixing g_1..g_i.  |Aut(g)| is the product of the orbit lengths.
+    """
+    gens = minimal_generating_sequence(g)
+    orders = [g.element_order(x) for x in range(g.order)]
+    found: list[tuple[int, ...]] = []
+    size = 1
+    for i in range(len(gens) - 1, -1, -1):
+        orbit, seen = [gens[i]], {gens[i]}
+        for cand in range(g.order):
+            if cand not in seen and orders[cand] == orders[gens[i]]:
+                f = next(_iso_candidates(g, g, gens, gens[:i] + [cand]), None)
+                if f is not None:
+                    found.append(f)
+                    grow_closure(orbit, seen, found)
+        size *= len(orbit)
+    return found, size
 
 
 class DicyclicWitness(NamedTuple):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ccakit import cli, engine
+from ccakit import cli, engine, groups
 from ccakit.cli import main
 
 
@@ -193,6 +193,17 @@ def test_census_report(capsys):
     assert rows["Dic(C(4), r^2)"] == "non-CCA"
     orders = [r["order"] for r in d["verdicts"]]
     assert orders == sorted(orders)
+
+
+def test_group_walks_list_no_automorphisms(capsys, monkeypatch):
+    def refuse(g):
+        raise AssertionError("a CLI path listed Aut(G)")
+
+    monkeypatch.setattr(groups, "automorphisms", refuse)
+    rows = run_json(capsys, "census", "--orders", "4..18")["verdicts"]
+    assert "non-CCA" in {r["verdict"]["kind"] for r in rows}
+    d = run_json(capsys, "check-group", "Q8 x C(2) x C(2)")
+    assert d["verdict"]["kind"] == "non-CCA"
 
 
 def test_census_strict_exits_2_when_a_row_is_capped(capsys):

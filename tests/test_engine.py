@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ccakit import engine
+from ccakit import engine, groups
 from ccakit.cli import _census_catalog
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
                            arc_lift_harness, colour_preserving_automorphisms,
@@ -221,8 +221,7 @@ def test_is_cca_graph_matches_full_route(expr):
 
 @pytest.mark.parametrize("expr", ORDER_12_GROUPS + ["Q8 x C(2)"])
 def test_automorphisms_match_reclosing_search(expr):
-    """Aut(G) lists the reference search's maps in its order, which fixes
-    the orbit walk's order and the witnesses it finds."""
+    """Aut(G) lists the reference search's maps, in its order."""
     g = elaborate(parse_expr(expr), {})
     gens = minimal_generating_sequence(g)
     assert [a.images for a in automorphisms(g)] == \
@@ -353,24 +352,6 @@ def test_cap_counts_only_connection_sets():
     assert v.checks[-1].detail == "3"
 
 
-def test_is_cca_group_walks_every_subset_above_the_aut_limit(monkeypatch):
-    g = cyclic(12)
-    classes = inverse_classes(g)
-    unions = [[c for cls in combo for c in cls]
-              for size in range(1, len(classes) + 1)
-              for combo in combinations(classes, size)]
-    minimal = sum(1 for conn in unions if g.generates(conn) and not any(
-        g.generates([c for c in conn if c not in cls]) for cls in classes
-        if cls[0] in conn))
-    monkeypatch.setattr(engine, "_ENUM_CAP", 3)  # |Aut(C12)| = 4
-    v = is_cca_group(g, cap=1000)
-    assert v.kind is VerdictKind.CCA
-    assert [(c.name, c.passed, c.detail) for c in v.checks] == [
-        ("orbit-pruning", False,
-         "|Aut(G)| > 3, examining every minimal set"),
-        ("connection-sets-examined", True, str(minimal))]
-
-
 def test_is_cca_group_elementary_abelian_16():
     """|Aut| = 20,160 over 2^15 - 1 subsets: a minimum over all of Aut(G)
     for every subset takes more than 600 s here.  Every basis is minimal,
@@ -382,6 +363,21 @@ def test_is_cca_group_elementary_abelian_16():
     assert v.kind is VerdictKind.CCA
     assert [(c.name, c.detail) for c in v.checks] == [
         ("orbit-pruning", "|Aut(G)| = 20160"),
+        ("connection-sets-examined", "1")]
+
+
+def test_is_cca_group_elementary_abelian_32(monkeypatch):
+    """|Aut| = |GL(5,2)| = 9,999,360, known from generators alone: the 83,328
+    bases form one orbit, marked from the generators after one is examined."""
+    def refuse(g):
+        raise AssertionError("is_cca_group listed Aut(G)")
+
+    monkeypatch.setattr(groups, "automorphisms", refuse)
+    g = elaborate(parse_expr(" x ".join(["C(2)"] * 5)), {})
+    v = is_cca_group(g)
+    assert v.kind is VerdictKind.CCA
+    assert [(c.name, c.detail) for c in v.checks] == [
+        ("orbit-pruning", "|Aut(G)| = 9999360"),
         ("connection-sets-examined", "1")]
 
 

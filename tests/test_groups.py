@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccakit import perm
+from ccakit import engine, perm
 from ccakit.bipartite import double_dihedral, knn_actors
 from ccakit.cli import _realize_pair_b
 from ccakit.engine import local_action
 from ccakit.errors import CapExceededError
-from ccakit.groups import (FiniteGroup, are_isomorphic, automorphisms,
-                           closure, cyclic, dihedral, direct_product,
+from ccakit.groups import (FiniteGroup, are_isomorphic,
+                           automorphism_generators, automorphisms, closure,
+                           cyclic, dihedral, direct_product,
                            extend_homomorphism, generalized_dicyclic,
                            generalized_dihedral, greedy_closure,
                            inverse_classes, left_regular,
@@ -405,7 +406,24 @@ def test_automorphism_counts():
     assert len(automorphisms(cyclic(6))) == 2
     assert len(automorphisms(direct_product(cyclic(2), cyclic(2)))) == 6
     assert len(automorphisms(quaternion())) == 24
-    assert automorphisms(quaternion(), limit=10) is None
+
+
+@pytest.mark.parametrize("g", CORPUS + [
+    direct_product(direct_product(quaternion(), cyclic(2)), cyclic(2)),
+    direct_product(direct_product(cyclic(2), cyclic(2)),
+                   direct_product(cyclic(2), cyclic(2))),
+    direct_product(cyclic(5), dihedral(5)),
+    generalized_dicyclic(cyclic(12), 6)], ids=lambda g: g.name or "?")
+def test_automorphism_generators_close_to_the_listing(g):
+    gens, order = automorphism_generators(g)
+    for f in gens:
+        assert sorted(f) == list(range(g.order))
+        assert all(f[g.table[a][b]] == g.table[f[a]][f[b]]
+                   for a in range(g.order) for b in range(g.order))
+    _, known = greedy_closure(gens, tuple(range(g.order)), engine._After)
+    listed = {a.images for a in automorphisms(g)}
+    assert known == listed
+    assert order == len(listed)
 
 
 @pytest.mark.parametrize("g", [g for g in CORPUS if g.order <= 8],
