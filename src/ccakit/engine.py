@@ -333,6 +333,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     coset reflection closes it), or Q8 x C2^n (three axis reflections close
     it).  The shapes are not mutually exclusive (C4 is both abelian and
     generalized dicyclic over C2), so all three are evaluated and recorded.
+    Decided on the stabilizer of vertex 0: the colour group a0 is every
+    colour-preserving bijection and holds the translations, which act
+    transitively, so |a0| = |G| |Stab|.
     """
     checks: list[Check] = []
     if ghat.realization is None or b.realization is None:
@@ -349,36 +352,30 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     pt_of_elem, elem_of_pt = _point_element_dictionaries(ghat)
     checks.append(Check("g-regular", True, f"regular on {degree} points"))
 
-    ghat_points = frozenset(ghat.realization)
     b_points = frozenset(b.realization)
-    g_in_b = ghat_points <= b_points
-    checks.append(Check("g-subgroup-of-b", g_in_b,
-                        f"|B| = {len(b_points)}"))
+    g_in_b = b_points.issuperset(ghat.realization)
+    checks.append(Check("g-subgroup-of-b", g_in_b, f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    images, stats = _searched_group(kg, range(ghat.order))
-    a0 = frozenset(images)
+    stab, stats = _searched_group(kg, (0,))
+    order = ghat.order * len(stab)
     checks.append(Check("colour-group-computed", True,
-                        f"order {len(a0)} on the complete colour graph"))
+                        f"order {order} on the complete colour graph"))
 
-    # transport B from points to element indices
-    b_elem = set()
-    for p in b.realization:
-        b_elem.add(tuple(elem_of_pt[p[pt_of_elem[i]]]
-                         for i in range(ghat.order)))
-    b_in_a0 = b_elem <= a0
+    # B moved from points to element indices
+    b_in_a0 = all(is_colour_preserving(
+        kg, [elem_of_pt[p[x]] for x in pt_of_elem]) for p in b.realization)
     checks.append(Check("b-within-colour-group", b_in_a0, ""))
 
-    # a0 is a group holding every translation, so for a map s that fixes the
-    # identity and is not the identity map, the translations together with
-    # the translations after s make up a0 iff s is in a0 and |a0| = 2|G|
-    two_cosets = len(a0) == 2 * ghat.order
+    # for s fixing the identity, s not the identity map, the translations and
+    # the translations after s make up a0 iff s is in a0 and |Stab| = 2
+    two_cosets = len(stab) == 2
     witness = None
 
     bullet_1 = False
     if ghat.is_abelian() and not ghat.is_elementary_abelian_2():
         inv_perm = tuple(ghat.inverse)
-        bullet_1 = two_cosets and inv_perm in a0
+        bullet_1 = two_cosets and is_colour_preserving(kg, inv_perm)
         if bullet_1:
             witness = inv_perm
     checks.append(Check("abelian-inversion-shape", bullet_1, ""))
@@ -391,7 +388,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
             inside = set(w.subgroup)
             sigma = tuple(i if i in inside else ghat.inverse[i]
                           for i in range(ghat.order))
-            if sigma in a0:
+            if is_colour_preserving(kg, sigma):
                 bullet_2 = True
                 if witness is None:
                     witness = sigma
@@ -403,8 +400,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     bullet_3 = False
     if iso is not None:
         back = iso.inverted()
-        k = ghat.order // 8
-        shift = k.bit_length() - 1  # k = 2**shift
+        shift = (ghat.order // 8).bit_length() - 1  # |G| = 8 * 2**shift
         target = iso.target
         sigmas = []
         for lo, hi in ((2, 3), (4, 5), (6, 7)):
@@ -412,10 +408,11 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                        else target.inverse[p] for p in range(ghat.order)]
             sigmas.append(tuple(back.images[sigma_t[iso.images[i]]]
                                 for i in range(ghat.order)))
-        gens = [tuple(row) for row in ghat.table] + sigmas
-        _, span = greedy_closure(gens, tuple(range(ghat.order)),
-                                 _After, limit=len(a0))
-        bullet_3 = span == a0
+        # with the sigmas in a0, their span lies in a0: equal iff as large
+        if all(is_colour_preserving(kg, s) for s in sigmas):
+            _, span = greedy_closure([tuple(r) for r in ghat.table] + sigmas,
+                                     tuple(range(ghat.order)), _After)
+            bullet_3 = len(span) == order
         if bullet_3 and witness is None:
             witness = sigmas[0]
     checks.append(Check("quaternion-reflections-shape", bullet_3, ""))
@@ -470,6 +467,11 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     on generators of h whose closure is verified to be h's realization; so
     is the hypothesis that h acts by automorphisms, which also form a group.
 
+    The local pair is decided at vertex 0 alone: grp is arc-regular, so
+    vertex-transitive on the connected g, and conjugation by x in grp, an
+    automorphism in h, carries (grp_v, h_v) on N(v) onto (grp_xv, h_xv) on
+    N(xv), a permutation isomorphism, which keeps a complete colour pair one.
+
     Arc-regularity is certified by labelling the arcs from ``base_arc``.  An
     h whose realization is not a permutation group raises ValueError.  A
     failed hypothesis returns hypotheses-fail; hypotheses passing but the
@@ -511,16 +513,14 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
                     f"element {name}, a generator of h, breaks an edge")
     checks.append(Check("h-automorphisms", True, ""))
 
-    for v in range(g.vertex_count):
-        local_g = local_action(grp, g, v)
-        local_h = local_action(h, g, v)
-        try:
-            pv = is_complete_colour_pair(local_g, local_h)
-        except ValueError as exc:
-            return fail("local-pairs", f"vertex {v}: {exc}")
-        stats.add(pv.stats)
-        if pv.kind is not VerdictKind.PAIR_YES:
-            return fail("local-pairs", f"vertex {v} is not a complete pair")
+    try:
+        pv = is_complete_colour_pair(local_action(grp, g, 0),
+                                     local_action(h, g, 0))
+    except ValueError as exc:
+        return fail("local-pairs", f"vertex 0: {exc}")
+    stats.add(pv.stats)
+    if pv.kind is not VerdictKind.PAIR_YES:
+        return fail("local-pairs", "vertex 0 is not a complete pair")
     checks.append(Check("local-pairs", True,
                         f"complete colour pair at all {g.vertex_count} vertices"))
 

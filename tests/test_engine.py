@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ccakit import engine, groups
+from ccakit import bipartite, engine, groups
 from ccakit.cli import _census_catalog
 from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind,
                            arc_lift_harness, colour_preserving_automorphisms,
@@ -24,7 +24,8 @@ from ccakit.speclang import (elaborate, elaborate_connection,
                              parse_connection, parse_expr)
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
-                        edge_dict, full_route_verdict, min_walk_verdict,
+                        colour_matrix, edge_dict, full_route_verdict,
+                        matrix_search, min_walk_verdict,
                         minimal_walk_verdict, reclosing_iso_candidates,
                         set_built_pair_verdict)
 
@@ -439,27 +440,35 @@ PAIR_GROUPS = ["C(3)", "C(4)", "C(5)", "C(6)", "C(7)", "C(8)", "C(9)",
                "C(10)", "C(12)", "C(2) x C(2)", "C(2) x C(4)", "C(3) x C(3)",
                "C(2) x C(6)", "C(2) x C(2) x C(2)", "D(3)", "D(4)", "D(5)",
                "D(6)", "Q8", "Q8 x C(2)", "Dic(C(6), r^3)", "Dic(C(8), r^4)"]
-PAIR_CASES = [(expr, False) for expr in PAIR_GROUPS] + [
-    (expr, True) for expr in PAIR_GROUPS
-    if elaborate(parse_expr(expr)).is_abelian()]
+PAIR_CASES = [(expr, "G") for expr in PAIR_GROUPS] + [
+    (expr, "Dih(G)") for expr in PAIR_GROUPS
+    if elaborate(parse_expr(expr)).is_abelian()] + [
+    ("C(4)", "Sym(4)"), ("C(5)", "Sym(5)")]  # B outside the colour group
 
 
-@pytest.mark.parametrize("expr, dih", PAIR_CASES,
-                         ids=[f"{e} with {'Dih(G)' if d else 'G'}"
-                              for e, d in PAIR_CASES])
-def test_pair_shapes_match_set_built_route(expr, dih):
-    """Membership and order decide the inversion and coset-reflection
-    shapes exactly as building their 2|G| maps does."""
+@pytest.mark.parametrize("expr, b_name", PAIR_CASES,
+                         ids=[f"{e} with {b}" for e, b in PAIR_CASES])
+def test_pair_shapes_match_set_built_route(expr, b_name):
+    """Colour checks and the order |G| |Stab| decide every check exactly as
+    building the maps each shape predicts and comparing them with the whole
+    colour group does; the one search is the vertex-0 stabilizer's."""
     g = elaborate(parse_expr(expr))
     ghat = left_regular(g)
-    b = dih_closure(g) if dih else ghat
+    if b_name == "G":
+        b = ghat
+    elif b_name == "Dih(G)":
+        b = dih_closure(g)
+    else:  # Sym(n), from a transposition and an n-cycle
+        b = closure([from_cycles(g.order, [(0, 1)]),
+                     from_cycles(g.order, [tuple(range(g.order))])])
     got = is_complete_colour_pair(ghat, b)
     want = set_built_pair_verdict(ghat, b)
     assert got.kind is want.kind
     assert [(c.name, c.passed, c.detail) for c in got.checks] == \
         [(c.name, c.passed, c.detail) for c in want.checks]
     assert got.witness == want.witness
-    assert got.stats.nodes == want.stats.nodes
+    colours = colour_matrix(complete_colour_graph(ghat).graph)
+    assert got.stats.nodes == matrix_search(g.order, colours, (0,))[1]
     if got.kind is VerdictKind.PAIR_YES:
         assert replay_witness(got)
 
@@ -532,6 +541,51 @@ def test_harness_reports_failed_hypotheses():
     assert (last.name, last.passed) == ("h-automorphisms", False)
     assert last.detail.startswith("element ")
     assert last.detail.endswith(", a generator of h, breaks an edge")
+
+
+def _local_pair(g, grp, h, v):
+    """Kind and checks of the local pair at v, or the ValueError's text."""
+    try:
+        pv = is_complete_colour_pair(local_action(grp, g, v),
+                                     local_action(h, g, v))
+    except ValueError as exc:
+        return str(exc)
+    return pv.kind, [(c.name, c.passed, c.detail) for c in pv.checks]
+
+
+def _hexagon_with_dihedral():
+    hexagon = cayley_graph(cyclic(6), [1, 5]).graph
+    full = closure([from_cycles(6, [(0, 1, 2, 3, 4, 5)]), (0, 5, 4, 3, 2, 1)])
+    return hexagon, full, full
+
+
+def _knn(n):
+    a = bipartite.knn_actors(n)
+    return a.graph, a.g, a.h
+
+
+LOCAL_PAIR_CASES = [pytest.param(lambda n=n: _knn(n), id=f"knn-{n}")
+                    for n in (3, 5, 7)] + [
+    pytest.param(_hexagon_with_dihedral, id="hexagon-dihedral")]
+
+
+@pytest.mark.parametrize("case", LOCAL_PAIR_CASES)
+def test_every_vertex_gives_vertex_0s_local_pair(case):
+    """The every-vertex loop the harness no longer runs: each vertex's local
+    pair has vertex 0's kind and checks (or raises its error), so the
+    harness's one pair at vertex 0 reports what the loop reported."""
+    g, grp, h = case()
+    at_0 = _local_pair(g, grp, h, 0)
+    for v in range(1, g.vertex_count):
+        assert _local_pair(g, grp, h, v) == at_0
+    local = next(c for c in arc_lift_harness(g, grp, h).checks
+                 if c.name == "local-pairs")
+    if isinstance(at_0, str):
+        assert (local.passed, local.detail) == (False, f"vertex 0: {at_0}")
+    else:
+        assert at_0[0] is VerdictKind.PAIR_YES
+        assert (local.passed, local.detail) == (
+            True, f"complete colour pair at all {g.vertex_count} vertices")
 
 
 def test_replay_witness_rejects_tampering():

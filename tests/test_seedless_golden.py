@@ -27,7 +27,11 @@ each graph by one affinity route (dropping its ``translations-present`` and
 ``stabilizer-formulation`` checks) and ``witness-thm31`` stopped building
 the overgroup H, the three ``witness-prop33`` tasks when phi came to be
 read off the D_2n x D_2n factor pairing by one route (dropping the
-``phi-two-routes`` check).
+``phi-two-routes`` check), and the three ``pair`` and three
+``harness-4-10`` tasks when ``is_complete_colour_pair`` came to search only
+the stabilizer of vertex 0 of the complete colour graph and
+``arc_lift_harness`` to decide the local pair at vertex 0 alone (lowering
+``stats.nodes`` and nothing else).
 """
 
 import hashlib
@@ -36,12 +40,13 @@ import sys
 
 import pytest
 
-from ccakit import bipartite, engine
+from ccakit import bipartite, engine, groups, kernels
 from ccakit.cli import main
+from ccakit.graphs import complete_colour_graph
 from ccakit.report import to_json
 from ccakit.speclang import elaborate, parse_expr
 
-from bruteforce import min_walk_verdict
+from bruteforce import colour_matrix, matrix_search, min_walk_verdict
 
 GOLDEN = [
     (("census", "--orders", "4..12"),
@@ -51,7 +56,7 @@ GOLDEN = [
     (("check-group", "C(4) x C(4)"),
      "a035ad5612e6bcea8ab7548ee8afacfb21d85b67dec65e854325dac7c5a235b9", {}),
     (("pair", "Q8 x C(2)", "Q8 x C(2)"),
-     "59ef87558e3eb69b7a60a83fb50d5f44f22d397aae4e4f45f70539fb77842594", {}),
+     "c6db534b41cd2b6102581e4b9034b4d0e7c47f9f2a62a3f0dedeca518d2cc42c", {}),
     (("witness-thm31", "--n", "5", "--emit", "both"),
      "911980c7bfe95f157a32357448e57ce5c1a3116e0b44a0eb112c087dd844c626",
      {"witness-thm31-5.json":
@@ -61,17 +66,17 @@ GOLDEN = [
     (("witness-prop33", "--n", "3"),
      "da6bc80c7f3f1005dfba179848902340106ee5f7e26b17a5af38365f359151b3", {}),
     (("harness-4-10", "--n", "3"),
-     "5bbf959e564d437ef7892f281ea7a9e9b8b155663fdbdcc187b37b174c369b68", {}),
+     "f328749f3297acc84f040d63ec7bff85babd0ef8bd5f94f1bcac9d3643fddb4b", {}),
     (("witness-prop33", "--n", "5"),
      "80f35674d251a773f94dcaa930019979f6694bc69b4c293958037fce61844391", {}),
     (("harness-4-10", "--n", "5"),
-     "dc2c03f7782c6607fb0ecc2d6764d94cc3ef846be50066a1fa59f9f828a77baf", {}),
+     "78de8d936cb17bce20f46961d3436c75824462bfdd0b3c36a77cb8f808cd1a04", {}),
     # the abelian inversion shape
     (("pair", "C(5)", "Dih(C(5))"),
-     "fd43896799b905b45c8635455b51d0c20fe029affa9675f97679a9a5780a5438", {}),
+     "f1a89cc0d729d3c1cd1ec1df3fc37e6ccfd6759af6a811a3e2d77569c10de010", {}),
     # the dicyclic coset-reflection shape
     (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
-     "89cb9738edaeab4097cc2f4e171051dca62da3c8a99f8fe58f001cabd4c15932", {}),
+     "6ce5f056c0de6a3f2ea3dc292b673e3e1db04d3dcde023a209d4c62396d4d0eb", {}),
     # the census emitter, with replay checks and its --out file
     (("census", "--orders", "4..8", "--verify"),
      "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5",
@@ -93,7 +98,7 @@ GOLDEN = [
     (("witness-prop33", "--n", "9"),
      "1950c1486e755eddf8a6d66d420408f9069bf165cb42bb48a7d76d81ba6a936d", {}),
     (("harness-4-10", "--n", "7"),
-     "de690ef6728d424d3be2821d501afb5d516a15d0b0baf90c09d08bea1be0f2ac", {}),
+     "314a1935b71df211edccff37552b0be35705f7b0d9b272f2f94fc1a8053f909d", {}),
     (("census", "--orders", "4..18"),
      "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d", {}),
     # one graph, non-CCA and CCA, reported by is_cca_graph itself
@@ -153,8 +158,9 @@ def _sha(data: bytes) -> str:
 
 
 # tasks whose digests moved when is_cca_graph came to run one affinity route
-# and witness-thm31 stopped building H, or when witness-prop33 came to build
-# phi by one route, with their digests before that
+# and witness-thm31 stopped building H, when witness-prop33 came to build
+# phi by one route, or when the pair path came to search one stabilizer,
+# with their digests before that
 RESTORED = [
     (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
      "cb026468c259474a578c476aa4fda2badc4f55c2fd2df751b033fb44c69e76b7"),
@@ -171,16 +177,48 @@ RESTORED = [
      "7f5ceb7c89c00886e23176c26b651f7213d97d059aea134efd7809ea290479b7"),
     (("witness-prop33", "--n", "9"),
      "9ec2e05d75009a16f9cf0ea539bb2cb9109bbb1411df32736b50e346476c1af2"),
+    # moved when the pair path came to search the stabilizer of vertex 0
+    # and the harness to decide one local pair
+    (("pair", "Q8 x C(2)", "Q8 x C(2)"),
+     "59ef87558e3eb69b7a60a83fb50d5f44f22d397aae4e4f45f70539fb77842594"),
+    (("pair", "C(5)", "Dih(C(5))"),
+     "fd43896799b905b45c8635455b51d0c20fe029affa9675f97679a9a5780a5438"),
+    (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
+     "89cb9738edaeab4097cc2f4e171051dca62da3c8a99f8fe58f001cabd4c15932"),
+    (("harness-4-10", "--n", "3"),
+     "5bbf959e564d437ef7892f281ea7a9e9b8b155663fdbdcc187b37b174c369b68"),
+    (("harness-4-10", "--n", "5"),
+     "dc2c03f7782c6607fb0ecc2d6764d94cc3ef846be50066a1fa59f9f828a77baf"),
+    (("harness-4-10", "--n", "7"),
+     "de690ef6728d424d3be2821d501afb5d516a15d0b0baf90c09d08bea1be0f2ac"),
 ]
+
+
+def _whole_group_nodes(argv: tuple[str, ...]) -> int:
+    """``stats.nodes`` as the pair path counted it while it searched the
+    whole colour group of each complete colour graph: one for ``pair``, one
+    per vertex's local pair for ``harness-4-10``."""
+    if argv[0] == "pair":
+        ghats = [groups.left_regular(elaborate(parse_expr(argv[1]), {}))]
+    else:
+        a = bipartite.knn_actors(int(argv[2]))
+        ghats = [engine.local_action(a.g, a.graph, v)
+                 for v in range(a.graph.vertex_count)]
+    return sum(matrix_search(ghat.order,
+                             colour_matrix(complete_colour_graph(ghat).graph),
+                             range(ghat.order))[1] for ghat in ghats)
 
 
 def _restore_dropped_checks(argv: tuple[str, ...], report: dict) -> None:
     """Put back what the report said before: the two checks is_cca_graph
     made while it ran both affinity routes, the |H| that witness-thm31
-    printed while it built H, or the check witness-prop33 made while it
-    built phi by two routes."""
+    printed while it built H, the check witness-prop33 made while it
+    built phi by two routes, or the nodes the pair path searched while it
+    listed whole colour groups."""
     checks = report["verdict"]["checks"]
-    if argv[0] == "witness-prop33":
+    if argv[0] in ("pair", "harness-4-10"):
+        report["stats"]["nodes"] = _whole_group_nodes(argv)
+    elif argv[0] == "witness-prop33":
         assert [c["name"] for c in checks][:2] == ["double-dihedral", "graph"]
         checks.insert(2, {"name": "phi-two-routes", "pass": True,
                           "detail": "exponent route equals transport route"})
@@ -249,6 +287,46 @@ def test_verdicts_close_nothing_and_run_one_affinity_route(capsys,
     assert replayed == [tuple(v["witness_images"])
                         for v in _verdicts(json.loads(out))
                         if v["kind"] == "non-CCA"]
+
+
+PAIR_ROUTE = [a for a, _, _ in GOLDEN if a[0] == "pair"] + [
+    ("harness-4-10", "--n", "5")]
+
+
+@pytest.mark.parametrize("argv", PAIR_ROUTE,
+                         ids=[" ".join(a) for a in PAIR_ROUTE])
+def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
+                                                         argv):
+    """With every search but the vertex-0 stabilizer's refused, the pinned
+    bytes still come out, and the harness builds and decides one local
+    pair."""
+    search, roots_seen = kernels.search, []
+    calls = {"local_action": 0, "is_complete_colour_pair": 0}
+
+    def stabilizer_only(adjacency, colour, roots):
+        roots_seen.append(tuple(roots))
+        if roots_seen[-1] != (0,):
+            raise AssertionError("search beyond the vertex-0 stabilizer")
+        return search(adjacency, colour, roots)
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "search", stabilizer_only)
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    code = main([*argv, "--seedless"])
+    out = capsys.readouterr().out
+    assert roots_seen == [(0,)]
+    assert code == 0
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    assert calls == {"local_action": 2 if argv[0] == "harness-4-10" else 0,
+                     "is_complete_colour_pair": 1}
 
 
 def test_prop33_builds_no_arc_labelling(capsys, monkeypatch):
