@@ -96,7 +96,7 @@ def is_colour_preserving(g: ColouredGraph | CayleyColouredGraph,
     p = perm.bijection(p)
     if len(p) != n:
         raise ValueError(f"degree {len(p)} does not match |V| = {n}")
-    return kernels.preserves(g.adjacency, g.pair_colours, p)
+    return kernels.preserves(g.adjacency, p)
 
 
 class _After:
@@ -116,7 +116,7 @@ def _searched_group(g: ColouredGraph | CayleyColouredGraph, roots):
     """The colour-preserving maps sending vertex 0 into ``roots``, timed:
     (sorted image tuples, search stats)."""
     t0 = time.perf_counter()
-    images, nodes = kernels.search(g.adjacency, g.pair_colours, roots)
+    images, nodes = kernels.search(g.adjacency, roots)
     millis = (time.perf_counter() - t0) * 1000.0
     return images, SearchStats(nodes=nodes, millis=millis)
 
@@ -362,9 +362,11 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("colour-group-computed", True,
                         f"order {order} on the complete colour graph"))
 
-    # B moved from points to element indices
+    # B moved from points to element indices is conjugation, and the
+    # colour-preserving maps form a group, so its generators decide it
+    b_gens, _ = greedy_closure(b.realization, tuple(range(degree)), _After)
     b_in_a0 = all(is_colour_preserving(
-        kg, [elem_of_pt[p[x]] for x in pt_of_elem]) for p in b.realization)
+        kg, [elem_of_pt[p[x]] for x in pt_of_elem]) for p in b_gens)
     checks.append(Check("b-within-colour-group", b_in_a0, ""))
 
     # for s fixing the identity, s not the identity map, the translations and

@@ -6,7 +6,6 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from . import kernels
 from .groups import FiniteGroup, greedy_closure
 
 
@@ -18,8 +17,8 @@ class Arc(NamedTuple):
 class ColouredGraph:
     """A finite simple graph with a colour id on every edge.
 
-    Instances are immutable by convention; the adjacency lists and the pair
-    lookup that the search reads are cached on first use.
+    Instances are immutable by convention; the adjacency lists that the
+    search and the colour checks read are cached on first use.
     """
 
     def __init__(self, vertex_count: int, edge_colours, colour_names=None,
@@ -85,10 +84,6 @@ class ColouredGraph:
             pairs.sort()
         return adj
 
-    @cached_property
-    def pair_colours(self) -> list[int]:
-        return kernels.pair_colours(self.adjacency)
-
     def neighbours(self, v: int) -> tuple[int, ...]:
         return tuple(x for x, _ in self.adjacency[v])
 
@@ -133,10 +128,6 @@ class CayleyColouredGraph:
         cids = [min(c, inv[c]) for c in conn]
         return [sorted(zip(map(row.__getitem__, conn), cids))
                 for row in self.group.table]
-
-    @cached_property
-    def pair_colours(self) -> list[int]:
-        return kernels.pair_colours(self.adjacency)
 
     @cached_property
     def generating_set(self) -> list[int]:

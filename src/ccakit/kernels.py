@@ -1,9 +1,10 @@
-"""Search kernels: colour-preserving automorphism backtracking and the
-associativity scan.
+"""Search kernels: the colour-preserving backtracking search, the colour
+check of one map, and the associativity scan.
 
 Graphs arrive as adjacency lists: ``adjacency[v]`` holds a
 ``(neighbour, colour)`` pair for each edge at v, ascending by neighbour,
-with colour ids >= 0 and every edge listed from both ends.
+with colour ids >= 0 and every edge listed from both ends.  Only the
+search builds an n*n colour lookup, and it frees it on return.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def pair_colours(adjacency) -> list[int]:
+def _pair_colours(adjacency) -> list[int]:
     """Flat n*n lookup: entry u*n + x is the colour of edge {u, x}, else -1."""
     n = len(adjacency)
     colour = [-1] * (n * n)
@@ -22,20 +23,25 @@ def pair_colours(adjacency) -> list[int]:
     return colour
 
 
-def preserves(adjacency, colour, img) -> bool:
+def preserves(adjacency, img) -> bool:
     """Does the bijection ``img`` send every edge onto an edge of the same
-    colour?  ``colour`` is the graph's ``pair_colours``.  Edges suffice: the
+    colour?  O(E): the colours at u are marked at their images, and each
+    edge at img[u] must find its colour marked, so the inverse of img, and
+    with it img, sends edges onto like-coloured edges.  That suffices: the
     edge set is finite, so non-edges then go onto non-edges."""
-    n = len(adjacency)
+    mark = [-1] * len(adjacency)
     for u, nbrs in enumerate(adjacency):
-        ib = img[u] * n
         for x, c in nbrs:
-            if colour[ib + img[x]] != c:
+            mark[img[x]] = c
+        for y, c in adjacency[img[u]]:
+            if mark[y] != c:
                 return False
+        for x, _ in nbrs:
+            mark[img[x]] = -1
     return True
 
 
-def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
+def search(adjacency, roots) -> tuple[list[tuple[int, ...]], int]:
     """Colour-preserving vertex bijections of a connected coloured graph that
     send vertex 0 into ``roots``.
 
@@ -47,8 +53,8 @@ def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
     neighbour of w that is already an image must come from a neighbour of v
     of the same colour; any other placed pair is a non-edge on both sides.
     Every pair of vertices is so checked when the later of the two is
-    placed, so a complete assignment is accepted as it stands.
-    ``colour`` is the graph's ``pair_colours``.  Pass ``range(n)`` as
+    placed, so a complete assignment is accepted as it stands.  The checks
+    read a flat n*n colour lookup, built here.  Pass ``range(n)`` as
     ``roots`` for the whole group, ``(0,)`` for the stabilizer of vertex 0.
     The search keeps its own stack, so its depth is not bounded by the
     interpreter's recursion limit.
@@ -69,6 +75,7 @@ def search(adjacency, colour, roots) -> tuple[list[tuple[int, ...]], int]:
                 order.append(x)
     if len(order) != n:
         raise ValueError("graph is not connected")
+    colour = _pair_colours(adjacency)
     img = [-1] * n
     pre = [-1] * n  # pre[w] = v when img[v] = w
     found: list[tuple[int, ...]] = []

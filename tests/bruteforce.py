@@ -19,8 +19,10 @@ the isomorphism search in ``groups`` must match map for map; and
 ``matrix_search`` runs the search kernel on a flat n*n colour matrix,
 comparing each placement with every placed vertex and each leaf over all
 vertex pairs, which ``kernels.search`` must match image for image and node
-for node; and ``set_built_pair_verdict`` builds the whole set of maps each
-pair shape predicts and compares it with the colour group, which
+for node; ``table_preserves`` checks one map's edges against a flat n*n
+colour lookup, which the lookup-free ``kernels.preserves`` must match; and
+``set_built_pair_verdict`` builds the whole set of maps each pair shape
+predicts and compares it with the colour group, which
 ``engine.is_complete_colour_pair`` must match kind, checks and witness;
 ``transported_colour_breaks`` transports every element of the overgroup
 through the arc labelling, where ``engine.arc_lift_harness`` transports a
@@ -132,6 +134,18 @@ def _matrix_bfs_order(n, colours):
 def _preserves_colours(n, colours, img):
     return all(colours[u * n + v] == colours[img[u] * n + img[v]]
                for u in range(n) for v in range(n))
+
+
+def table_preserves(adjacency, img):
+    """The colour check ``kernels.preserves`` replaced: every edge {u, x}
+    of colour c must have c at (img[u], img[x]) in a flat n*n lookup."""
+    n = len(adjacency)
+    colour = [-1] * (n * n)
+    for u, nbrs in enumerate(adjacency):
+        for x, c in nbrs:
+            colour[u * n + x] = c
+    return all(colour[img[u] * n + img[x]] == c
+               for u, nbrs in enumerate(adjacency) for x, c in nbrs)
 
 
 def matrix_search(n, colours, roots):

@@ -27,7 +27,7 @@ from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
                         colour_matrix, edge_dict, full_route_verdict,
                         matrix_search, min_walk_verdict,
                         minimal_walk_verdict, reclosing_iso_candidates,
-                        set_built_pair_verdict)
+                        set_built_pair_verdict, table_preserves)
 
 
 def dih_closure(g):
@@ -71,23 +71,39 @@ def pairwise_colour_preserving(graph, images) -> bool:
                for u in range(n) for v in range(u + 1, n))
 
 
-@pytest.mark.parametrize("expr, conn", [("C(6)", "{r, r^3} +inv"),
-                                        ("D(3)", "{r, s} +inv"),
-                                        ("Q8", "{i, j} +inv")])
+@pytest.mark.parametrize("expr, conn", [
+    ("C(6)", "{r, r^3} +inv"), ("D(3)", "{r, s} +inv"), ("Q8", "{i, j} +inv"),
+    pytest.param("C(5)", None, id="complete C(5)"),
+    pytest.param("D(3)", None, id="complete D(3)"),
+    pytest.param(None, {(0, 1): 0, (1, 2): 0, (2, 3): 1},
+                 id="two-colour path"),
+    # a check that kept the marks of earlier vertices would take the swap
+    # of 0 and 1 here for colour-preserving
+    pytest.param(None, {(0, 1): 0, (0, 2): 0, (2, 3): 1},
+                 id="two-colour path from an inner vertex")])
 def test_is_colour_preserving_matches_pairwise_check(expr, conn):
-    """Checking edges only agrees with checking every pair, on all n!
-    bijections of a few Cayley graphs, from the table-built adjacency and
-    from the edge-dict graph alike."""
-    g = elaborate(parse_expr(expr), {})
-    cg = cayley_graph(g, elaborate_connection(parse_connection(conn), g))
+    """Checking edges only agrees with checking every pair and with the
+    n*n lookup, on all n! bijections: of a few Cayley graphs, from the
+    table-built adjacency and from the edge-dict graph alike, of two
+    complete colour graphs (no connection set given), and of two-colour
+    paths that are no Cayley graphs (no group, the edge colours given)."""
+    if expr is None:
+        graphs = [ColouredGraph(4, conn)]
+    else:
+        g = elaborate(parse_expr(expr), {})
+        cg = (complete_colour_graph(g) if conn is None else
+              cayley_graph(g, elaborate_connection(parse_connection(conn), g)))
+        graphs = [cg, cg.graph]
+    named = graphs[-1]
+    n = named.vertex_count
     hits = 0
-    for images in permutations(range(g.order)):
-        want = pairwise_colour_preserving(cg.graph, images)
-        assert is_colour_preserving(cg, images) == want
-        assert is_colour_preserving(cg.graph, images) == want
+    for images in permutations(range(n)):
+        want = pairwise_colour_preserving(named, images)
+        for graph in graphs:
+            assert is_colour_preserving(graph, images) == want
+            assert table_preserves(graph.adjacency, images) == want
         hits += want
-    assert hits == len(brute_colour_automorphisms(g.order,
-                                                  edge_dict(cg.graph)))
+    assert hits == len(brute_colour_automorphisms(n, edge_dict(named)))
 
 
 def test_is_affine_on_a_connection_set_that_does_not_generate():
@@ -443,7 +459,11 @@ PAIR_GROUPS = ["C(3)", "C(4)", "C(5)", "C(6)", "C(7)", "C(8)", "C(9)",
 PAIR_CASES = [(expr, "G") for expr in PAIR_GROUPS] + [
     (expr, "Dih(G)") for expr in PAIR_GROUPS
     if elaborate(parse_expr(expr)).is_abelian()] + [
-    ("C(4)", "Sym(4)"), ("C(5)", "Sym(5)")]  # B outside the colour group
+    ("C(4)", "Sym(4)"), ("C(5)", "Sym(5)"),  # B outside the colour group
+    # B with an empty generators dict, so only its realization names them;
+    # Sym(4) closed from its 4-cycle first, a translation inside the colour
+    # group, so that the transposition kept after it decides
+    ("C(6)", "Dih(G), no generators"), ("C(4)", "Sym(4), no generators")]
 
 
 @pytest.mark.parametrize("expr, b_name", PAIR_CASES,
@@ -456,11 +476,14 @@ def test_pair_shapes_match_set_built_route(expr, b_name):
     ghat = left_regular(g)
     if b_name == "G":
         b = ghat
-    elif b_name == "Dih(G)":
+    elif b_name.startswith("Dih(G)"):
         b = dih_closure(g)
     else:  # Sym(n), from a transposition and an n-cycle
-        b = closure([from_cycles(g.order, [(0, 1)]),
-                     from_cycles(g.order, [tuple(range(g.order))])])
+        gens = [from_cycles(g.order, [(0, 1)]),
+                from_cycles(g.order, [tuple(range(g.order))])]
+        b = closure(gens[::-1] if b_name.endswith("no generators") else gens)
+    if b_name.endswith("no generators"):
+        b = FiniteGroup(b.elements, b.table, {}, b.realization)
     got = is_complete_colour_pair(ghat, b)
     want = set_built_pair_verdict(ghat, b)
     assert got.kind is want.kind

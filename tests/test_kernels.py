@@ -15,7 +15,7 @@ from ccakit.groups import (cyclic, dihedral, direct_product, inverse_classes,
 from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_colour_automorphisms, colour_matrix, edge_dict,
-                        matrix_search)
+                        matrix_search, table_preserves)
 from test_engine import ORDER_12_GROUPS
 
 GRAPHS = [
@@ -30,14 +30,14 @@ GRAPHS = [
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_matches_bruteforce(g):
     n = g.vertex_count
-    found, _ = kernels.search(g.adjacency, g.pair_colours, range(n))
+    found, _ = kernels.search(g.adjacency, range(n))
     assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_fixing_vertex_0_matches_bruteforce(g):
     n = g.vertex_count
-    found, _ = kernels.search(g.adjacency, g.pair_colours, (0,))
+    found, _ = kernels.search(g.adjacency, (0,))
     brute = brute_colour_automorphisms(n, edge_dict(g))
     assert found == sorted(p for p in brute if p[0] == 0)
 
@@ -45,7 +45,7 @@ def test_search_fixing_vertex_0_matches_bruteforce(g):
 def test_search_output_sorted_and_counted():
     g = cayley_graph(cyclic(6), [1, 5]).graph
     n = g.vertex_count
-    found, nodes = kernels.search(g.adjacency, g.pair_colours, range(n))
+    found, nodes = kernels.search(g.adjacency, range(n))
     assert found == sorted(found)
     assert len(found) == 12  # the 6-cycle: rotations and reflections
     # distinct leaves need distinct committed placements; prefixes are shared
@@ -55,7 +55,7 @@ def test_search_output_sorted_and_counted():
 def test_search_rejects_disconnected():
     g = cayley_graph(cyclic(6), [2, 4]).graph
     with pytest.raises(ValueError):
-        kernels.search(g.adjacency, g.pair_colours, range(6))
+        kernels.search(g.adjacency, range(6))
 
 
 def test_check_assoc():
@@ -72,8 +72,7 @@ def assert_matches_matrix_search(g):
     n = g.vertex_count
     m = colour_matrix(g if isinstance(g, ColouredGraph) else g.graph)
     for roots in ((0,), range(n)):
-        assert kernels.search(g.adjacency, g.pair_colours, roots) == \
-            matrix_search(n, m, roots)
+        assert kernels.search(g.adjacency, roots) == matrix_search(n, m, roots)
 
 
 @pytest.mark.parametrize("expr", ORDER_12_GROUPS)
@@ -108,7 +107,8 @@ def test_search_matches_matrix_search_on_other_graphs(g):
 @given(st.data())
 def test_search_matches_matrix_search_on_random_graphs(data):
     """Connected graphs: a random spanning tree plus random extra edges,
-    each edge one of three colours."""
+    each edge one of three colours; and the colour check of a random
+    bijection on each."""
     n = data.draw(st.integers(1, 7), label="n")
     edges = {(data.draw(st.integers(0, v - 1)), v): 0 for v in range(1, n)}
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -119,5 +119,8 @@ def test_search_matches_matrix_search_on_random_graphs(data):
         edges[pair] = data.draw(st.integers(0, 2))
     g = ColouredGraph(n, edges)
     assert_matches_matrix_search(g)
-    found, _ = kernels.search(g.adjacency, g.pair_colours, range(n))
+    found, _ = kernels.search(g.adjacency, range(n))
     assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
+    img = data.draw(st.permutations(range(n)), label="img")
+    assert kernels.preserves(g.adjacency, img) == (tuple(img) in found) == \
+        table_preserves(g.adjacency, img)

@@ -37,6 +37,7 @@ the stabilizer of vertex 0 of the complete colour graph and
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -303,11 +304,11 @@ def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
     search, roots_seen = kernels.search, []
     calls = {"local_action": 0, "is_complete_colour_pair": 0}
 
-    def stabilizer_only(adjacency, colour, roots):
+    def stabilizer_only(adjacency, roots):
         roots_seen.append(tuple(roots))
         if roots_seen[-1] != (0,):
             raise AssertionError("search beyond the vertex-0 stabilizer")
-        return search(adjacency, colour, roots)
+        return search(adjacency, roots)
 
     def counted(name):
         fn = getattr(engine, name)
@@ -341,6 +342,77 @@ def test_prop33_builds_no_arc_labelling(capsys, monkeypatch):
     assert main([*argv, "--seedless"]) == 0
     out = capsys.readouterr().out
     assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+
+
+LOOKUP_FREE = [("witness-prop33", "--n", "5"),
+               ("witness-thm31", "--n", "5", "--emit", "both")]
+
+
+@pytest.mark.parametrize("argv", LOOKUP_FREE,
+                         ids=[" ".join(a) for a in LOOKUP_FREE])
+def test_witness_tasks_build_no_colour_lookup(capsys, tmp_path, monkeypatch,
+                                              argv):
+    """The witness tasks run no search, and their colour checks read the
+    adjacency lists: with the search's n*n colour lookup refused, their
+    pinned bytes still come out."""
+    def refuse(adjacency):
+        raise AssertionError("n*n colour lookup built")
+
+    monkeypatch.setattr(kernels, "_pair_colours", refuse)
+    monkeypatch.chdir(tmp_path)
+    files = {a: f for a, _, f in GOLDEN}[argv]
+    extra = ["--out", "out"] if files else []
+    assert main([*argv, "--seedless", *extra]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    written = {p.name: _sha(p.read_bytes())
+               for p in (tmp_path / "out").iterdir()} if files else {}
+    assert written == files
+
+
+def test_prop33_flip_check_and_replay_hold_no_colour_lookup():
+    """Checking the n = 9 flip and replaying it allocate no n*n colour
+    lookup: each would take 0.8 MB on the 324 vertices, one for the Cayley
+    graph and one for the named graph that replay reads (the two of them
+    peaked at 3.2 MB, against 1.6 MB without them)."""
+    bipartite.double_dihedral_witness(3)  # load the lazy layers untraced
+    tracemalloc.start()
+    try:
+        v = bipartite.double_dihedral_witness(9)
+        assert engine.replay_witness(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 2**20
+
+
+def test_pair_checks_b_on_its_generators(capsys, monkeypatch):
+    """pair decides whether B lies in the colour group on greedy
+    generators of B: on C(64) with Dih(C(64)), one colour check per kept
+    generator plus at most four for the shapes and the replay, not one per
+    element of B."""
+    checked, seen_b = [], []
+    preserving = engine.is_colour_preserving
+    pair = engine.is_complete_colour_pair
+
+    def counted(g, p):
+        checked.append(p)
+        return preserving(g, p)
+
+    def recorded(ghat, b):
+        seen_b.append(b)
+        return pair(ghat, b)
+
+    monkeypatch.setattr(engine, "is_colour_preserving", counted)
+    monkeypatch.setattr(engine, "is_complete_colour_pair", recorded)
+    assert main(["pair", "C(64)", "Dih(C(64))", "--seedless"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["kind"] == "pair-yes"
+    b, = seen_b
+    kept, _ = groups.greedy_closure(b.realization, tuple(range(64)),
+                                    engine._After)
+    assert b.order == 128
+    assert len(checked) <= len(kept) + 4
 
 
 @pytest.mark.parametrize("argv, stdout_digest, files", GOLDEN,
