@@ -108,10 +108,8 @@ def _execute(parser: _Parser, args, task_str: str, env: dict,
         if args.emit != "json" and not args.out:
             raise _UsageError("--emit dot/both needs --out DIR")
         return _dispatch(parser, args, task_str, env, slug_prefix)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecSyntaxError, SpecElabError, ValueError, OSError) as exc:
+    except (_UsageError, SpecSyntaxError, SpecElabError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:
@@ -276,13 +274,7 @@ def _census_catalog(a: int, b: int) -> list[tuple[str, int]]:
             if a <= 4 * n * n <= b:
                 rows.append((f"D({n}) x D({n})", 4 * n * n))
         n += 1
-    seen = set()
-    out = []
-    for label, order in sorted(rows, key=lambda r: (r[1], r[0])):
-        if label not in seen:
-            seen.add(label)
-            out.append((label, order))
-    return out
+    return sorted(rows, key=lambda r: (r[1], r[0]))
 
 
 def _cmd_census(args, task_str: str, slug_prefix: str) -> int:

@@ -21,7 +21,7 @@ from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, automorphism_generators, closure,
                      greedy_closure, grow_closure, inverse_classes,
-                     q8_c2n_isomorphism, recognize_dicyclic)
+                     q8_c2n_isomorphism, recognize_dicyclic, stabilizer_chain)
 
 
 class VerdictKind(str, Enum):
@@ -72,8 +72,7 @@ class Verdict:
 
 
 class AutGroupResult(NamedTuple):
-    """A group of colour-preserving automorphisms of one graph, listed in
-    full: the whole colour-preserving group, or the stabilizer of vertex 0."""
+    """The colour-preserving automorphisms of one graph, listed in full."""
 
     graph: ColouredGraph | CayleyColouredGraph
     elements: list[tuple[int, ...]]
@@ -112,33 +111,45 @@ class _After:
         return tuple([a[x] for x in b])
 
 
-def _searched_group(g: ColouredGraph | CayleyColouredGraph, roots):
-    """The colour-preserving maps sending vertex 0 into ``roots``, timed:
-    (sorted image tuples, search stats)."""
+def _searched_group(g: ColouredGraph | CayleyColouredGraph, top: int):
+    """(generators, order, search stats) of the colour-preserving maps fixing
+    the first ``top`` vertices of the search tree, 1 for the stabilizer of
+    vertex 0 and 0 for the whole group: a ``stabilizer_chain`` of first-leaf
+    searches, level k trying the like-coloured neighbours of order[k]'s
+    tree parent that it does not fix, every vertex at k = 0."""
     t0 = time.perf_counter()
-    images, nodes = kernels.search(g.adjacency, roots)
+    adjacency = g.adjacency
+    tree = order, parent, via = kernels.breadth_first(adjacency)
+    depth = {v: k for k, v in enumerate(order)}
+    placed = []
+
+    def candidates(i):
+        v = order[top + i]
+        return [x for x, c in adjacency[parent[v]]
+                if c == via[v] and depth[x] >= top + i] if v else order
+
+    def first(i, w):
+        maps, nodes = kernels.search(adjacency, top + i, w, tree)
+        placed.append(nodes)
+        return maps[0] if maps else None
+
+    gens, size = stabilizer_chain(order[top:], candidates, first)
     millis = (time.perf_counter() - t0) * 1000.0
-    return images, SearchStats(nodes=nodes, millis=millis)
+    return gens, size, SearchStats(nodes=sum(placed), millis=millis)
 
 
 def colour_preserving_automorphisms(g: ColouredGraph | CayleyColouredGraph
                                     ) -> AutGroupResult:
-    """Backtracking search for every colour-preserving automorphism.
-
-    Requires a connected graph.  Elements come back canonically sorted by
-    image tuple; generators are a greedy generating subset, whose closure
-    must be every element found.
-    """
-    images, stats = _searched_group(g, range(g.vertex_count))
-    kept, known = greedy_closure(images, tuple(range(g.vertex_count)),
-                                 _After, limit=len(images))
-    if known is None or len(known) != len(images):
-        # every search result lies in the closure, so it must be all of it
-        got = "unbounded" if known is None else str(len(known))
+    """Every colour-preserving automorphism of a connected graph, sorted by
+    image tuple: the closure of the whole group's chain generators, which
+    must have the chain's order, with the generators it keeps."""
+    gens, order, stats = _searched_group(g, 0)
+    kept, known = greedy_closure(gens, tuple(range(g.vertex_count)), _After,
+                                 limit=order)
+    if known is None or len(known) != order:
         raise InternalInconsistencyError(
-            f"generator reconstruction found {got} elements, "
-            f"search found {len(images)}")
-    return AutGroupResult(g, images, kept, stats)
+            f"the chain's generators do not close to its order {order}")
+    return AutGroupResult(g, sorted(known), kept, stats)
 
 
 class AffineDecomposition(NamedTuple):
@@ -192,19 +203,19 @@ def _normalizes(cg: CayleyColouredGraph, p) -> bool:
 def is_cca_graph(cg: CayleyColouredGraph) -> Verdict:
     """Is every colour-preserving automorphism of Cay(G, C) affine?
 
-    Decided on the stabilizer of vertex 0.  Left translations preserve
-    colours and act transitively, so every colour-preserving map is a
-    translation composed with a stabilizer element: the group has order
-    |G| times the stabilizer's, and it is all affine exactly when the
-    stabilizer is.  A non-affine map stays non-affine after composing with
-    a translation, so the lexicographically first non-affine map of the
-    whole group fixes vertex 0 and is the first non-affine stabilizer
-    element; the affinity scan stops at it.
+    Decided on generators of the stabilizer of vertex 0.  Left
+    translations preserve colours and act transitively, so every
+    colour-preserving map is a translation composed with a stabilizer
+    element: the group has order |G| times the stabilizer's, and it is all
+    affine exactly when the stabilizer is.  The affine colour-preserving
+    maps form a group, so the stabilizer is all affine exactly when each of
+    its generators is; the affinity scan stops at the first non-affine
+    generator, the witness.
     """
-    stab, stats = _searched_group(cg, (0,))
-    order = cg.group.order * len(stab)
+    gens, stab_order, stats = _searched_group(cg, 1)
+    order = cg.group.order * stab_order
     checks = [Check("search", True, f"{order} colour-preserving automorphisms")]
-    witness = next((imgs for imgs in stab if _untranslated(cg, imgs) is None),
+    witness = next((imgs for imgs in gens if _untranslated(cg, imgs) is None),
                    None)
     if witness is None:
         checks.append(Check("all-affine", True,
@@ -357,8 +368,8 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("g-subgroup-of-b", g_in_b, f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    stab, stats = _searched_group(kg, (0,))
-    order = ghat.order * len(stab)
+    _, stab_order, stats = _searched_group(kg, 1)
+    order = ghat.order * stab_order
     checks.append(Check("colour-group-computed", True,
                         f"order {order} on the complete colour graph"))
 
@@ -371,7 +382,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
 
     # for s fixing the identity, s not the identity map, the translations and
     # the translations after s make up a0 iff s is in a0 and |Stab| = 2
-    two_cosets = len(stab) == 2
+    two_cosets = stab_order == 2
     witness = None
 
     bullet_1 = False

@@ -601,28 +601,40 @@ def automorphisms(g: FiniteGroup) -> list[Isomorphism]:
     return [Isomorphism(g, g, f) for f in _iso_candidates(g, g, gens)]
 
 
-def automorphism_generators(g: FiniteGroup) -> tuple[list[tuple], int]:
-    """Generators of Aut(g) as image tuples, and |Aut(g)|.
-
-    A stabilizer chain on g's generating sequence g_1..g_k (Sims), built from
-    the last level up: the maps found so far fix g_1..g_i, and each element
-    of g_{i+1}'s order outside their orbit of g_{i+1} is tried by one search
-    fixing g_1..g_i.  |Aut(g)| is the product of the orbit lengths.
+def stabilizer_chain(base, candidates, first) -> tuple[list[tuple], int]:
+    """Generators of a group of maps, as image tuples, and its order: a
+    stabilizer chain on ``base`` (Sims), built from the last level up.  At
+    level i the maps found so far fix base[:i+1]; each of ``candidates(i)``
+    outside their orbit of base[i] is tried by ``first(i, w)``, a map of the
+    group fixing base[:i] and sending base[i] to w, or None, and each map
+    found grows the orbit by one ``grow_closure`` step.  The candidates must
+    cover the orbit, and only the identity may fix all of base; the order
+    is then the product of the orbit lengths.
     """
-    gens = minimal_generating_sequence(g)
-    orders = [g.element_order(x) for x in range(g.order)]
     found: list[tuple[int, ...]] = []
     size = 1
-    for i in range(len(gens) - 1, -1, -1):
-        orbit, seen = [gens[i]], {gens[i]}
-        for cand in range(g.order):
-            if cand not in seen and orders[cand] == orders[gens[i]]:
-                f = next(_iso_candidates(g, g, gens, gens[:i] + [cand]), None)
+    for i in range(len(base) - 1, -1, -1):
+        orbit, seen = [base[i]], {base[i]}
+        for w in candidates(i):
+            if w not in seen:
+                f = first(i, w)
                 if f is not None:
                     found.append(f)
                     grow_closure(orbit, seen, found)
         size *= len(orbit)
     return found, size
+
+
+def automorphism_generators(g: FiniteGroup) -> tuple[list[tuple], int]:
+    """Generators of Aut(g) as image tuples, and |Aut(g)|: the
+    ``stabilizer_chain`` on g's generating sequence, trying the elements of
+    each generator's order by the isomorphism search's first map."""
+    gens = minimal_generating_sequence(g)
+    orders = [g.element_order(x) for x in range(g.order)]
+    return stabilizer_chain(
+        gens, lambda i: [x for x in range(g.order)
+                         if orders[x] == orders[gens[i]]],
+        lambda i, w: next(_iso_candidates(g, g, gens, gens[:i] + [w]), None))
 
 
 class DicyclicWitness(NamedTuple):

@@ -3,24 +3,14 @@ check of one map, and the associativity scan.
 
 Graphs arrive as adjacency lists: ``adjacency[v]`` holds a
 ``(neighbour, colour)`` pair for each edge at v, ascending by neighbour,
-with colour ids >= 0 and every edge listed from both ends.  Only the
-search builds an n*n colour lookup, and it frees it on return.
+with colour ids >= 0 and every edge listed from both ends.  No n*n colour
+lookup is built: each check marks colours on a scratch list of n entries.
 """
 
 from __future__ import annotations
 
 # The kernels are plain Python; the name is recorded with benchmark results.
 BACKEND = "pure"
-
-
-def _pair_colours(adjacency) -> list[int]:
-    """Flat n*n lookup: entry u*n + x is the colour of edge {u, x}, else -1."""
-    n = len(adjacency)
-    colour = [-1] * (n * n)
-    for u, nbrs in enumerate(adjacency):
-        for x, c in nbrs:
-            colour[u * n + x] = c
-    return colour
 
 
 def preserves(adjacency, img) -> bool:
@@ -41,31 +31,14 @@ def preserves(adjacency, img) -> bool:
     return True
 
 
-def search(adjacency, roots) -> tuple[list[tuple[int, ...]], int]:
-    """Colour-preserving vertex bijections of a connected coloured graph that
-    send vertex 0 into ``roots``.
-
-    Backtracking over a breadth-first spanning tree rooted at vertex 0,
-    neighbours ascending: the root image is tried over ``roots`` in order,
-    every later vertex over the like-coloured neighbours of its parent's
-    image, ascending.  Placing v at w takes two passes: each placed
-    neighbour of v must go to a neighbour of w of the same colour, and each
-    neighbour of w that is already an image must come from a neighbour of v
-    of the same colour; any other placed pair is a non-edge on both sides.
-    Every pair of vertices is so checked when the later of the two is
-    placed, so a complete assignment is accepted as it stands.  The checks
-    read a flat n*n colour lookup, built here.  Pass ``range(n)`` as
-    ``roots`` for the whole group, ``(0,)`` for the stabilizer of vertex 0.
-    The search keeps its own stack, so its depth is not bounded by the
-    interpreter's recursion limit.
-
-    Returns the lexicographically sorted list of image tuples plus the number
-    of committed placements (the search tree size).
-    """
+def breadth_first(adjacency) -> tuple[list[int], list[int], list[int]]:
+    """The search tree of a connected coloured graph: the vertices in
+    breadth-first order from vertex 0, neighbours ascending, each one's tree
+    parent, and the colour of the tree edge to it (-1 at the root)."""
     n = len(adjacency)
     if n <= 0:
         raise ValueError("graph must have at least one vertex")
-    order = [0]  # breadth-first, with tree parents and tree-edge colours
+    order = [0]
     parent, via = [-1] * n, [-1] * n
     for u in order:  # also walks what it appends
         for x, c in adjacency[u]:
@@ -75,53 +48,65 @@ def search(adjacency, roots) -> tuple[list[tuple[int, ...]], int]:
                 order.append(x)
     if len(order) != n:
         raise ValueError("graph is not connected")
-    colour = _pair_colours(adjacency)
-    img = [-1] * n
-    pre = [-1] * n  # pre[w] = v when img[v] = w
-    found: list[tuple[int, ...]] = []
+    return order, parent, via
+
+
+def search(adjacency, k, w, tree=None) -> tuple[list[tuple[int, ...]], int]:
+    """The first colour-preserving vertex bijection of a connected coloured
+    graph that fixes order[:k] and sends order[k] to w, on the search tree
+    ``(order, parent, via)``, by default ``breadth_first(adjacency)``.
+
+    Backtracking: each later vertex is tried over the like-coloured
+    neighbours of its parent's image, ascending.  Placing v at a candidate
+    marks the colours of v's edges at their far ends: each neighbour of the
+    candidate that is already an image must come from a neighbour of v
+    marked with its edge's colour, and v must have as many placed
+    neighbours, so each placed pair keeps its colour or stays a non-edge.
+    Each pair is so checked when the later of the two is placed, so the
+    first complete assignment is accepted as it stands.  The search keeps
+    its own stack, so its depth is not bounded by the recursion limit.
+    Returns a list of at most one image tuple plus the number of committed
+    placements (the search tree size).
+    """
+    order, parent, via = tree or breadth_first(adjacency)
+    n = len(order)
+    img, pre, mark = [-1] * n, [-1] * n, [-1] * n  # pre[img[v]] = v
+    for v in order[:k]:
+        img[v] = pre[v] = v
     nodes = 0
-    # one candidate iterator per placed depth; depth k places order[k]
-    pending = [iter(roots)]
+    pending = [iter((w,))]  # a candidate iterator per depth from k on
     while pending:
-        k = len(pending) - 1
-        v = order[k]
+        d = k + len(pending) - 1
+        v = order[d]
         if img[v] >= 0:  # back from the subtree below the last placement
             pre[img[v]] = -1
             img[v] = -1
-        v_nbrs = adjacency[v]
-        vb = v * n
-        w = -1
+        placed = 0
+        for x, c in adjacency[v]:
+            mark[x] = c
+            placed += img[x] >= 0
         for cand in pending[-1]:
-            if pre[cand] >= 0:
-                continue
-            cb = cand * n
-            for x, c in v_nbrs:
-                y = img[x]
-                if y >= 0 and colour[cb + y] != c:
+            if pre[cand] < 0:
+                hits = [mark[pre[y]] == c for y, c in adjacency[cand]
+                        if pre[y] >= 0]
+                if len(hits) == placed and all(hits):
                     break
-            else:
-                for y, c in adjacency[cand]:
-                    x = pre[y]
-                    if x >= 0 and colour[vb + x] != c:
-                        break
-                else:
-                    w = cand
-                    break
-        if w < 0:  # candidates exhausted: backtrack one level
+        else:  # candidates exhausted: backtrack one level
+            cand = -1
+        for x, _ in adjacency[v]:
+            mark[x] = -1
+        if cand < 0:
             pending.pop()
             continue
-        img[v] = w
-        pre[w] = v
+        img[v] = cand
+        pre[cand] = v
         nodes += 1
-        if k + 1 < n:
-            nxt = order[k + 1]
-            col = via[nxt]
-            pending.append(iter([x for x, c in adjacency[img[parent[nxt]]]
-                                 if c == col]))
-        else:
-            found.append(tuple(img))
-    found.sort()
-    return found, nodes
+        if d + 1 == n:
+            return [tuple(img)], nodes
+        nxt = order[d + 1]
+        pending.append(iter([x for x, c in adjacency[img[parent[nxt]]]
+                             if c == via[nxt]]))
+    return [], nodes
 
 
 def check_assoc(n: int, table) -> int:

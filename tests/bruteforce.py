@@ -18,8 +18,10 @@ the images chosen so far and extends a homomorphism only at the leaf, which
 the isomorphism search in ``groups`` must match map for map; and
 ``matrix_search`` runs the search kernel on a flat n*n colour matrix,
 comparing each placement with every placed vertex and each leaf over all
-vertex pairs, which ``kernels.search`` must match image for image and node
-for node; ``table_preserves`` checks one map's edges against a flat n*n
+vertex pairs, whose listing the stabilizer chain of ``kernels.search``
+must close to, and which ``listed_stabilizer`` puts in place of that chain
+to give the verdicts the element lists they read before it;
+``table_preserves`` checks one map's edges against a flat n*n
 colour lookup, which the lookup-free ``kernels.preserves`` must match; and
 ``set_built_pair_verdict`` builds the whole set of maps each pair shape
 predicts and compares it with the colour group, which
@@ -42,7 +44,7 @@ from ccakit.engine import (Check, SearchStats, Verdict, VerdictKind, _After,
                            colour_preserving_automorphisms, is_affine,
                            is_cca_graph, is_colour_preserving)
 from ccakit.errors import CapExceededError
-from ccakit.graphs import cayley_graph, complete_colour_graph
+from ccakit.graphs import ColouredGraph, cayley_graph, complete_colour_graph
 from ccakit.groups import (_format_word, automorphisms, dihedral,
                            direct_product, extend_homomorphism,
                            greedy_closure, inverse_classes,
@@ -186,6 +188,17 @@ def matrix_search(n, colours, roots):
             found.append(tuple(img))
     found.sort()
     return found, nodes
+
+
+def listed_stabilizer(g, top):
+    """``engine._searched_group`` by listing: the sorted colour-preserving
+    maps fixing vertex 0 (``top`` 1) or all of them (``top`` 0) as the
+    generators, their number, and the listing's node count."""
+    graph = g if isinstance(g, ColouredGraph) else g.graph
+    n = graph.vertex_count
+    images, nodes = matrix_search(n, colour_matrix(graph),
+                                  (0,) if top else range(n))
+    return images, len(images), SearchStats(nodes=nodes)
 
 
 def full_route_verdict(cg):

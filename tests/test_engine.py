@@ -19,13 +19,12 @@ from ccakit.groups import (FiniteGroup, automorphisms, closure, cyclic,
                            dihedral, direct_product, inverse_classes,
                            left_regular, minimal_generating_sequence,
                            quaternion)
-from ccakit.perm import compose, from_cycles
+from ccakit.perm import from_cycles
 from ccakit.speclang import (elaborate, elaborate_connection,
                              parse_connection, parse_expr)
 
 from bruteforce import (brute_affine_maps, brute_colour_automorphisms,
-                        colour_matrix, edge_dict, full_route_verdict,
-                        matrix_search, min_walk_verdict,
+                        edge_dict, full_route_verdict, min_walk_verdict,
                         minimal_walk_verdict, reclosing_iso_candidates,
                         set_built_pair_verdict, table_preserves)
 
@@ -203,11 +202,12 @@ ORDER_12_GROUPS = [
 
 @pytest.mark.parametrize("expr", ORDER_12_GROUPS)
 def test_is_cca_graph_matches_full_route(expr):
-    """The stabilizer route gives the whole-group route's report on every
-    connected Cayley graph of the group.  On each graph the stabilizer it
-    reads is closed under composition, the two affinity routes agree on
-    every colour-preserving map, and each affine stabilizer element fixes
-    every colour class setwise."""
+    """The stabilizer route gives the whole-group route's kind and checks on
+    every connected Cayley graph of the group, and its witness replays,
+    fixes vertex 0 and is the first non-affine generator of the stabilizer.
+    On each graph the stabilizer's generators close to as many maps as its
+    order, the two affinity routes agree on every colour-preserving map,
+    and each affine stabilizer element fixes every colour class setwise."""
     g = elaborate(parse_expr(expr), {})
     classes = inverse_classes(g)
     graphs = 0
@@ -220,11 +220,17 @@ def test_is_cca_graph_matches_full_route(expr):
             v = is_cca_graph(cg)
             kind, witness, checks = full_route_verdict(cg)
             assert v.kind.value == kind, conn
-            assert v.witness == witness, conn
+            assert (v.witness is None) == (witness is None), conn
             assert [(c.name, c.passed, c.detail) for c in v.checks] == checks
 
-            stab, _ = engine._searched_group(cg, (0,))
-            assert {compose(a, b) for a in stab for b in stab} == set(stab)
+            gens, order, _ = engine._searched_group(cg, 1)
+            _, stab = groups.greedy_closure(gens, tuple(range(g.order)),
+                                            engine._After)
+            assert len(stab) == order
+            if witness is not None:
+                assert replay_witness(v) and v.witness[0] == 0
+                assert v.witness == next(
+                    p for p in gens if not is_affine(cg, p)[0])
             for p in colour_preserving_automorphisms(cg).elements:
                 assert is_affine(cg, p)[0] == engine._normalizes(cg, p), p
             for p in stab:
@@ -490,8 +496,8 @@ def test_pair_shapes_match_set_built_route(expr, b_name):
     assert [(c.name, c.passed, c.detail) for c in got.checks] == \
         [(c.name, c.passed, c.detail) for c in want.checks]
     assert got.witness == want.witness
-    colours = colour_matrix(complete_colour_graph(ghat).graph)
-    assert got.stats.nodes == matrix_search(g.order, colours, (0,))[1]
+    kg = complete_colour_graph(ghat)
+    assert got.stats.nodes == engine._searched_group(kg, 1)[2].nodes
     if got.kind is VerdictKind.PAIR_YES:
         assert replay_witness(got)
 

@@ -1,10 +1,11 @@
 import pytest
 
-from ccakit import kernels
 from ccakit.graphs import (Arc, ColouredGraph, arcs, cayley_graph,
                            complete_bipartite, complete_colour_graph,
                            is_connected, line_graph, subdivision)
 from ccakit.groups import cyclic, dihedral, direct_product
+
+from bruteforce import colour_matrix
 
 
 def test_coloured_graph_basics():
@@ -17,7 +18,7 @@ def test_coloured_graph_basics():
     assert g.colours_used() == [0, 1]
     assert g.adjacency == [[(1, 0)], [(0, 0), (2, 0)], [(1, 0), (3, 1)],
                            [(2, 1)]]
-    m = kernels._pair_colours(g.adjacency)
+    m = colour_matrix(g)
     assert m[0 * 4 + 1] == m[1 * 4 + 0] == 0
     assert m[0 * 4 + 2] == -1
 

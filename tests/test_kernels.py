@@ -1,5 +1,6 @@
-"""The search kernel against the all-permutations filter and against the
-colour-matrix kernel it replaced."""
+"""The search kernel and the stabilizer chain of its first-leaf searches,
+against the all-permutations filter and against the colour-matrix kernel
+that listed every map."""
 
 from itertools import combinations
 
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccakit import kernels
+from ccakit import engine, kernels
 from ccakit.graphs import (ColouredGraph, cayley_graph, complete_bipartite,
                            complete_colour_graph, line_graph, subdivision)
-from ccakit.groups import (cyclic, dihedral, direct_product, inverse_classes,
-                           quaternion)
+from ccakit.groups import (cyclic, dihedral, direct_product, greedy_closure,
+                           inverse_classes, quaternion)
 from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_colour_automorphisms, colour_matrix, edge_dict,
@@ -27,35 +28,47 @@ GRAPHS = [
 ]
 
 
+def chain_closure(g, top: int) -> set:
+    """The maps the chain's generators close to, as many as its order."""
+    gens, order, _ = engine._searched_group(g, top)
+    _, known = greedy_closure(gens, tuple(range(g.vertex_count)),
+                              engine._After)
+    assert len(known) == order
+    return known
+
+
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_matches_bruteforce(g):
     n = g.vertex_count
-    found, _ = kernels.search(g.adjacency, range(n))
-    assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
+    assert chain_closure(g, 0) == brute_colour_automorphisms(n, edge_dict(g))
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: repr(g))
 def test_search_fixing_vertex_0_matches_bruteforce(g):
-    n = g.vertex_count
-    found, _ = kernels.search(g.adjacency, (0,))
-    brute = brute_colour_automorphisms(n, edge_dict(g))
-    assert found == sorted(p for p in brute if p[0] == 0)
+    brute = brute_colour_automorphisms(g.vertex_count, edge_dict(g))
+    assert chain_closure(g, 1) == {p for p in brute if p[0] == 0}
 
 
 def test_search_output_sorted_and_counted():
+    """Each search returns one map or none, and counts its placements."""
     g = cayley_graph(cyclic(6), [1, 5]).graph
     n = g.vertex_count
-    found, nodes = kernels.search(g.adjacency, range(n))
-    assert found == sorted(found)
-    assert len(found) == 12  # the 6-cycle: rotations and reflections
-    # distinct leaves need distinct committed placements; prefixes are shared
-    assert nodes >= max(len(found), n)
+    for w in range(n):  # the 6-cycle: a rotation and a reflection each
+        (found,), nodes = kernels.search(g.adjacency, 0, w)
+        assert found[0] == w and kernels.preserves(g.adjacency, found)
+        assert nodes >= n
+    assert kernels.search(g.adjacency, 1, 5) == ([(0, 5, 4, 3, 2, 1)], 5)
+    assert kernels.search(g.adjacency, 1, 2) == ([], 0)
+    assert kernels.search(g.adjacency, 2, 5) == ([tuple(range(n))], 4)
+    assert kernels.search(g.adjacency, 2, 1) == ([], 0)  # 1 is fixed
 
 
 def test_search_rejects_disconnected():
     g = cayley_graph(cyclic(6), [2, 4]).graph
     with pytest.raises(ValueError):
-        kernels.search(g.adjacency, range(6))
+        kernels.search(g.adjacency, 0, 0)
+    with pytest.raises(ValueError):
+        kernels.breadth_first(g.adjacency)
 
 
 def test_check_assoc():
@@ -68,11 +81,21 @@ def test_check_assoc():
 
 
 def assert_matches_matrix_search(g):
-    """Same sorted images and the same node count, for both root sets."""
+    """The chain's generators close to the listed maps, for the whole group
+    and for the stabilizer of vertex 0, and each first-leaf search returns
+    a listed map exactly when one fixes order[:k] and sends order[k] to w."""
     n = g.vertex_count
     m = colour_matrix(g if isinstance(g, ColouredGraph) else g.graph)
-    for roots in ((0,), range(n)):
-        assert kernels.search(g.adjacency, roots) == matrix_search(n, m, roots)
+    listed, _ = matrix_search(n, m, range(n))
+    assert chain_closure(g, 0) == set(listed)
+    assert chain_closure(g, 1) == {p for p in listed if p[0] == 0}
+    order, _, _ = kernels.breadth_first(g.adjacency)
+    for k in range(n):
+        for w in range(n):
+            want = [p for p in listed if p[order[k]] == w
+                    and all(p[v] == v for v in order[:k])]
+            found, _ = kernels.search(g.adjacency, k, w)
+            assert len(found) == bool(want) and set(found) <= set(want)
 
 
 @pytest.mark.parametrize("expr", ORDER_12_GROUPS)
@@ -119,8 +142,8 @@ def test_search_matches_matrix_search_on_random_graphs(data):
         edges[pair] = data.draw(st.integers(0, 2))
     g = ColouredGraph(n, edges)
     assert_matches_matrix_search(g)
-    found, _ = kernels.search(g.adjacency, range(n))
-    assert set(found) == brute_colour_automorphisms(n, edge_dict(g))
+    found = chain_closure(g, 0)
+    assert found == brute_colour_automorphisms(n, edge_dict(g))
     img = data.draw(st.permutations(range(n)), label="img")
     assert kernels.preserves(g.adjacency, img) == (tuple(img) in found) == \
         table_preserves(g.adjacency, img)

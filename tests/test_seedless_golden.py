@@ -32,6 +32,16 @@ read off the D_2n x D_2n factor pairing by one route (dropping the
 the stabilizer of vertex 0 of the complete colour graph and
 ``arc_lift_harness`` to decide the local pair at vertex 0 alone (lowering
 ``stats.nodes`` and nothing else).
+
+The fourteen tasks in ``LISTED`` were re-pinned once, when each colour
+group came to be read off generators of a stabilizer chain of first-leaf
+searches instead of a listing of the vertex-0 stabilizer, and only after
+``test_listed_stabilizer_prints_the_old_digests`` showed each of them
+printing its old digest with the listing put back in place of the chain.
+The chain lowers ``stats.nodes``, and the witness becomes the first
+non-affine generator, which moves ``witness_images`` on
+``check-group "Dic(C(12), r^6)"`` and on the ``Dic(C(8), r^4)`` row of the
+census of orders 4..18.
 """
 
 import hashlib
@@ -47,17 +57,18 @@ from ccakit.graphs import complete_colour_graph
 from ccakit.report import to_json
 from ccakit.speclang import elaborate, parse_expr
 
-from bruteforce import colour_matrix, matrix_search, min_walk_verdict
+from bruteforce import (colour_matrix, listed_stabilizer, matrix_search,
+                        min_walk_verdict)
 
 GOLDEN = [
     (("census", "--orders", "4..12"),
-     "6fadb192f171af8ef9c99e9ab9d6bad0e187be9aedd5ee4c71255577edf76faa", {}),
+     "b5fbbdbcff8dc7904e8fd0f9121ce814dd457c269f7d491b3f43f960eeea1433", {}),
     (("check-group", "Dic(C(12), r^6)"),
-     "a5859d302d713401f689c38f45fefe7d62b5d185bd5535a9a5932161e31de84d", {}),
+     "42c9e593efc356aa1be6becc76aead5e44afc93e349f9aa0bea6cf78a79e1761", {}),
     (("check-group", "C(4) x C(4)"),
-     "a035ad5612e6bcea8ab7548ee8afacfb21d85b67dec65e854325dac7c5a235b9", {}),
+     "bf51f93a5bd1be9be6fec60c7908c02e3f9d8e4a6920d9f45200b11f1b0be256", {}),
     (("pair", "Q8 x C(2)", "Q8 x C(2)"),
-     "c6db534b41cd2b6102581e4b9034b4d0e7c47f9f2a62a3f0dedeca518d2cc42c", {}),
+     "868858e7514cc11e7fc9c8b184634cc8057d63f609832b626910e3daef59b63b", {}),
     (("witness-thm31", "--n", "5", "--emit", "both"),
      "911980c7bfe95f157a32357448e57ce5c1a3116e0b44a0eb112c087dd844c626",
      {"witness-thm31-5.json":
@@ -67,25 +78,25 @@ GOLDEN = [
     (("witness-prop33", "--n", "3"),
      "da6bc80c7f3f1005dfba179848902340106ee5f7e26b17a5af38365f359151b3", {}),
     (("harness-4-10", "--n", "3"),
-     "f328749f3297acc84f040d63ec7bff85babd0ef8bd5f94f1bcac9d3643fddb4b", {}),
+     "e4a13bbdfd2f6f6d404f719152b146f95ecd695a1e4761100161bbc8e5c60879", {}),
     (("witness-prop33", "--n", "5"),
      "80f35674d251a773f94dcaa930019979f6694bc69b4c293958037fce61844391", {}),
     (("harness-4-10", "--n", "5"),
-     "78de8d936cb17bce20f46961d3436c75824462bfdd0b3c36a77cb8f808cd1a04", {}),
+     "086f2fb6cf955b81c96f93a271481d8e139371a7c20c34695164019ebb1651ef", {}),
     # the abelian inversion shape
     (("pair", "C(5)", "Dih(C(5))"),
-     "f1a89cc0d729d3c1cd1ec1df3fc37e6ccfd6759af6a811a3e2d77569c10de010", {}),
+     "aa06a01f06a2617707c293b99a14e5a7b368877d4291d5baef4c49f5ea9aa737", {}),
     # the dicyclic coset-reflection shape
     (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
-     "6ce5f056c0de6a3f2ea3dc292b673e3e1db04d3dcde023a209d4c62396d4d0eb", {}),
+     "ec4ff79f887f6b9cff39f09e530a1f802f74bc14865f2eb4ad29275b08bc6b32", {}),
     # the census emitter, with replay checks and its --out file
     (("census", "--orders", "4..8", "--verify"),
-     "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5",
+     "c4e485461965233d9309f5adf37cf5ee86c2299ad2ebf53fbc7d55108aa1832f",
      {"census-4-8.json":
-      "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5"}),
+      "c4e485461965233d9309f5adf37cf5ee86c2299ad2ebf53fbc7d55108aa1832f"}),
     # the walk's cap, reported by the single-verdict emitter
     (("check-group", "D(6)", "--cap", "3"),
-     "a91e20f71fe1d54ec281c12b890738bf009e6094644dc77a24a5518583f94336", {}),
+     "8294fbc03cb092687a0f13ff2971495e807b50cfb375fd7e9b856bc10c9d1c59", {}),
     # the elaboration cap, reported by the fallback for a refused group
     (("check-group", "C(600)"),
      "717779a4237d9439b29bb2355b53253496ce6003e25f8b24c9eb463ec08cd399", {}),
@@ -99,14 +110,14 @@ GOLDEN = [
     (("witness-prop33", "--n", "9"),
      "1950c1486e755eddf8a6d66d420408f9069bf165cb42bb48a7d76d81ba6a936d", {}),
     (("harness-4-10", "--n", "7"),
-     "314a1935b71df211edccff37552b0be35705f7b0d9b272f2f94fc1a8053f909d", {}),
+     "2d87be68426c9881361701e0338972f122b667c31164635a005e48a6a0160016", {}),
     (("census", "--orders", "4..18"),
-     "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d", {}),
+     "51d29b45e658c446ef434491d291406fe5aa34d4fad17fc926f1693e39d17308", {}),
     # one graph, non-CCA and CCA, reported by is_cca_graph itself
     (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
-     "5ac420e83e097e276b8d984eb377a490e99946cb88d421a92dc39414dac4bdd5", {}),
+     "3fa1dd7c62c97719b1ad2eedec64ae23c8398defbdcbc0f5e3dce1d3ef376e03", {}),
     (("check-graph", "C(6)", "{r} +inv"),
-     "48b66534f3113c54ac4d749a90066b25c0dcd44975a49c9dea89f35a79a880a2", {}),
+     "5b0a1571497c8f344eabff4f898560a776b2bcedef81bfde6f1dc9d5f0af9699", {}),
 ]
 
 
@@ -156,6 +167,55 @@ def test_moved_digests_differ_from_every_set_walk_only_in_counts(
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+# tasks whose digests moved when the colour groups came to be read off a
+# stabilizer chain, with their digests before that
+LISTED = [
+    (("census", "--orders", "4..12"),
+     "6fadb192f171af8ef9c99e9ab9d6bad0e187be9aedd5ee4c71255577edf76faa"),
+    (("check-group", "Dic(C(12), r^6)"),
+     "a5859d302d713401f689c38f45fefe7d62b5d185bd5535a9a5932161e31de84d"),
+    (("check-group", "C(4) x C(4)"),
+     "a035ad5612e6bcea8ab7548ee8afacfb21d85b67dec65e854325dac7c5a235b9"),
+    (("pair", "Q8 x C(2)", "Q8 x C(2)"),
+     "c6db534b41cd2b6102581e4b9034b4d0e7c47f9f2a62a3f0dedeca518d2cc42c"),
+    (("harness-4-10", "--n", "3"),
+     "f328749f3297acc84f040d63ec7bff85babd0ef8bd5f94f1bcac9d3643fddb4b"),
+    (("harness-4-10", "--n", "5"),
+     "78de8d936cb17bce20f46961d3436c75824462bfdd0b3c36a77cb8f808cd1a04"),
+    (("pair", "C(5)", "Dih(C(5))"),
+     "f1a89cc0d729d3c1cd1ec1df3fc37e6ccfd6759af6a811a3e2d77569c10de010"),
+    (("pair", "Dic(C(6), r^3)", "Dic(C(6), r^3)"),
+     "6ce5f056c0de6a3f2ea3dc292b673e3e1db04d3dcde023a209d4c62396d4d0eb"),
+    (("census", "--orders", "4..8", "--verify"),
+     "296ee7574233a2da9dae4f710852a5bef2cf7685d528b847d9fa2378fbca3de5"),
+    (("check-group", "D(6)", "--cap", "3"),
+     "a91e20f71fe1d54ec281c12b890738bf009e6094644dc77a24a5518583f94336"),
+    (("harness-4-10", "--n", "7"),
+     "314a1935b71df211edccff37552b0be35705f7b0d9b272f2f94fc1a8053f909d"),
+    (("census", "--orders", "4..18"),
+     "1a687282a668ac098608ce139158aa3f251dbd84a22b7cafea5c78d55169df7d"),
+    (("check-graph", "C(3) x D(3)", "{s2, r1*r2} +inv"),
+     "5ac420e83e097e276b8d984eb377a490e99946cb88d421a92dc39414dac4bdd5"),
+    (("check-graph", "C(6)", "{r} +inv"),
+     "48b66534f3113c54ac4d749a90066b25c0dcd44975a49c9dea89f35a79a880a2"),
+]
+
+
+@pytest.mark.parametrize("argv, old_digest", LISTED,
+                         ids=[" ".join(a) for a, _ in LISTED])
+def test_listed_stabilizer_prints_the_old_digests(capsys, tmp_path,
+                                                  monkeypatch, argv,
+                                                  old_digest):
+    """With the listing of the vertex-0 stabilizer put back in place of the
+    chain, each re-pinned task prints the bytes it printed before."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "_searched_group", listed_stabilizer)
+    extra = ["--out", "out"] if {a: f for a, _, f in GOLDEN}[argv] else []
+    assert main([*argv, "--seedless", *extra]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == old_digest != {a: d for a, d, _ in GOLDEN}[argv]
 
 
 # tasks whose digests moved when is_cca_graph came to run one affinity route
@@ -245,8 +305,10 @@ def test_restored_reports_hash_to_their_old_digests(capsys, tmp_path,
                                                     old_digest):
     """Each moved report, with the dropped checks or detail put back and
     serialized again, has the bytes it had before; its --out JSON, when
-    there is one, is the same text as its stdout."""
+    there is one, is the same text as its stdout.  The colour groups are
+    listed, as they were when these digests were taken."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "_searched_group", listed_stabilizer)
     extra = ["--out", "out"] if "--emit" in argv else []
     assert main([*argv, "--seedless", *extra]) == 0
     out = capsys.readouterr().out
@@ -298,17 +360,17 @@ PAIR_ROUTE = [a for a, _, _ in GOLDEN if a[0] == "pair"] + [
                          ids=[" ".join(a) for a in PAIR_ROUTE])
 def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
                                                          argv):
-    """With every search but the vertex-0 stabilizer's refused, the pinned
-    bytes still come out, and the harness builds and decides one local
-    pair."""
-    search, roots_seen = kernels.search, []
+    """With every search that moves vertex 0 refused, the pinned bytes
+    still come out, every search runs on one complete colour graph, and the
+    harness builds and decides one local pair."""
+    search, searched = kernels.search, []
     calls = {"local_action": 0, "is_complete_colour_pair": 0}
 
-    def stabilizer_only(adjacency, roots):
-        roots_seen.append(tuple(roots))
-        if roots_seen[-1] != (0,):
+    def stabilizer_only(adjacency, k, *rest):
+        searched.append(id(adjacency))
+        if k == 0:
             raise AssertionError("search beyond the vertex-0 stabilizer")
-        return search(adjacency, roots)
+        return search(adjacency, k, *rest)
 
     def counted(name):
         fn = getattr(engine, name)
@@ -323,7 +385,7 @@ def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
         monkeypatch.setattr(engine, name, counted(name))
     code = main([*argv, "--seedless"])
     out = capsys.readouterr().out
-    assert roots_seen == [(0,)]
+    assert len(set(searched)) == 1
     assert code == 0
     assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
     assert calls == {"local_action": 2 if argv[0] == "harness-4-10" else 0,
@@ -353,12 +415,12 @@ LOOKUP_FREE = [("witness-prop33", "--n", "5"),
 def test_witness_tasks_build_no_colour_lookup(capsys, tmp_path, monkeypatch,
                                               argv):
     """The witness tasks run no search, and their colour checks read the
-    adjacency lists: with the search's n*n colour lookup refused, their
-    pinned bytes still come out."""
-    def refuse(adjacency):
-        raise AssertionError("n*n colour lookup built")
+    adjacency lists: with the search refused, their pinned bytes still come
+    out."""
+    def refuse(*args):
+        raise AssertionError("search run")
 
-    monkeypatch.setattr(kernels, "_pair_colours", refuse)
+    monkeypatch.setattr(kernels, "search", refuse)
     monkeypatch.chdir(tmp_path)
     files = {a: f for a, _, f in GOLDEN}[argv]
     extra = ["--out", "out"] if files else []
@@ -368,6 +430,40 @@ def test_witness_tasks_build_no_colour_lookup(capsys, tmp_path, monkeypatch,
     written = {p.name: _sha(p.read_bytes())
                for p in (tmp_path / "out").iterdir()} if files else {}
     assert written == files
+
+
+ONE_MAP = [("census", "--orders", "4..18"), ("check-group", "Dic(C(12), r^6)"),
+           ("check-group", "Dic(C(64), r^32)", "--verify")]
+
+
+@pytest.mark.parametrize("argv", ONE_MAP, ids=[" ".join(a) for a in ONE_MAP])
+def test_every_search_returns_at_most_one_map(capsys, monkeypatch, argv):
+    """No verdict lists the vertex-0 stabilizer: every search returns at
+    most one map (a listing returns up to 128 on the census and 2,048 on
+    Dic(C(12), r^6)), the pinned bytes still come out, and the generalized
+    dicyclic group of order 128, whose stabilizer a listing could not hold,
+    is decided non-CCA with a replayed witness."""
+    search, most = kernels.search, []
+
+    def one_map(*args):
+        maps, nodes = search(*args)
+        most.append(len(maps))
+        if len(maps) > 1:
+            raise AssertionError(f"search returned {len(maps)} maps")
+        return maps, nodes
+
+    monkeypatch.setattr(kernels, "search", one_map)
+    assert main([*argv, "--seedless"]) == 0
+    out = capsys.readouterr().out
+    assert max(most) == 1
+    if argv in ONE_MAP[:2]:
+        assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    else:
+        verdict = json.loads(out)["verdict"]
+        assert verdict["kind"] == "non-CCA"
+        assert verdict["checks"][-1] == {
+            "name": "replay-witness", "pass": True,
+            "detail": "witness re-validated from scratch"}
 
 
 def test_prop33_flip_check_and_replay_hold_no_colour_lookup():
