@@ -129,7 +129,7 @@ def _searched_group(g: ColouredGraph | CayleyColouredGraph, top: int):
                 if c == via[v] and depth[x] >= top + i] if v else order
 
     def first(i, w):
-        maps, nodes = kernels.search(adjacency, top + i, w, tree)
+        maps, nodes = kernels.search(adjacency, tree, top + i, w)
         placed.append(nodes)
         return maps[0] if maps else None
 

@@ -51,10 +51,10 @@ def breadth_first(adjacency) -> tuple[list[int], list[int], list[int]]:
     return order, parent, via
 
 
-def search(adjacency, k, w, tree=None) -> tuple[list[tuple[int, ...]], int]:
+def search(adjacency, tree, k, w) -> tuple[list[tuple[int, ...]], int]:
     """The first colour-preserving vertex bijection of a connected coloured
     graph that fixes order[:k] and sends order[k] to w, on the search tree
-    ``(order, parent, via)``, by default ``breadth_first(adjacency)``.
+    ``tree = (order, parent, via)`` that ``breadth_first(adjacency)`` built.
 
     Backtracking: each later vertex is tried over the like-coloured
     neighbours of its parent's image, ascending.  Placing v at a candidate
@@ -68,7 +68,7 @@ def search(adjacency, k, w, tree=None) -> tuple[list[tuple[int, ...]], int]:
     Returns a list of at most one image tuple plus the number of committed
     placements (the search tree size).
     """
-    order, parent, via = tree or breadth_first(adjacency)
+    order, parent, via = tree
     n = len(order)
     img, pre, mark = [-1] * n, [-1] * n, [-1] * n  # pre[img[v]] = v
     for v in order[:k]:

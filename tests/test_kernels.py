@@ -51,22 +51,21 @@ def test_search_fixing_vertex_0_matches_bruteforce(g):
 
 def test_search_output_sorted_and_counted():
     """Each search returns one map or none, and counts its placements."""
-    g = cayley_graph(cyclic(6), [1, 5]).graph
-    n = g.vertex_count
+    adj = cayley_graph(cyclic(6), [1, 5]).graph.adjacency
+    n = len(adj)
+    tree = kernels.breadth_first(adj)
     for w in range(n):  # the 6-cycle: a rotation and a reflection each
-        (found,), nodes = kernels.search(g.adjacency, 0, w)
-        assert found[0] == w and kernels.preserves(g.adjacency, found)
+        (found,), nodes = kernels.search(adj, tree, 0, w)
+        assert found[0] == w and kernels.preserves(adj, found)
         assert nodes >= n
-    assert kernels.search(g.adjacency, 1, 5) == ([(0, 5, 4, 3, 2, 1)], 5)
-    assert kernels.search(g.adjacency, 1, 2) == ([], 0)
-    assert kernels.search(g.adjacency, 2, 5) == ([tuple(range(n))], 4)
-    assert kernels.search(g.adjacency, 2, 1) == ([], 0)  # 1 is fixed
+    assert kernels.search(adj, tree, 1, 5) == ([(0, 5, 4, 3, 2, 1)], 5)
+    assert kernels.search(adj, tree, 1, 2) == ([], 0)
+    assert kernels.search(adj, tree, 2, 5) == ([tuple(range(n))], 4)
+    assert kernels.search(adj, tree, 2, 1) == ([], 0)  # 1 is fixed
 
 
 def test_search_rejects_disconnected():
     g = cayley_graph(cyclic(6), [2, 4]).graph
-    with pytest.raises(ValueError):
-        kernels.search(g.adjacency, 0, 0)
     with pytest.raises(ValueError):
         kernels.breadth_first(g.adjacency)
 
@@ -89,12 +88,12 @@ def assert_matches_matrix_search(g):
     listed, _ = matrix_search(n, m, range(n))
     assert chain_closure(g, 0) == set(listed)
     assert chain_closure(g, 1) == {p for p in listed if p[0] == 0}
-    order, _, _ = kernels.breadth_first(g.adjacency)
+    tree = order, _, _ = kernels.breadth_first(g.adjacency)
     for k in range(n):
         for w in range(n):
             want = [p for p in listed if p[order[k]] == w
                     and all(p[v] == v for v in order[:k])]
-            found, _ = kernels.search(g.adjacency, k, w)
+            found, _ = kernels.search(g.adjacency, tree, k, w)
             assert len(found) == bool(want) and set(found) <= set(want)
 
 

@@ -361,16 +361,19 @@ PAIR_ROUTE = [a for a, _, _ in GOLDEN if a[0] == "pair"] + [
 def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
                                                          argv):
     """With every search that moves vertex 0 refused, the pinned bytes
-    still come out, every search runs on one complete colour graph, and the
+    still come out, one chain is built, on the vertex-0 stabilizer, and the
     harness builds and decides one local pair."""
-    search, searched = kernels.search, []
+    search, searched_group, tops = kernels.search, engine._searched_group, []
     calls = {"local_action": 0, "is_complete_colour_pair": 0}
 
-    def stabilizer_only(adjacency, k, *rest):
-        searched.append(id(adjacency))
+    def stabilizer_only(adjacency, tree, k, w):
         if k == 0:
             raise AssertionError("search beyond the vertex-0 stabilizer")
-        return search(adjacency, k, *rest)
+        return search(adjacency, tree, k, w)
+
+    def one_chain(g, top):
+        tops.append(top)
+        return searched_group(g, top)
 
     def counted(name):
         fn = getattr(engine, name)
@@ -381,11 +384,12 @@ def test_pair_path_searches_the_vertex_0_stabilizer_once(capsys, monkeypatch,
         return wrapper
 
     monkeypatch.setattr(kernels, "search", stabilizer_only)
+    monkeypatch.setattr(engine, "_searched_group", one_chain)
     for name in calls:
         monkeypatch.setattr(engine, name, counted(name))
     code = main([*argv, "--seedless"])
     out = capsys.readouterr().out
-    assert len(set(searched)) == 1
+    assert tops == [1]
     assert code == 0
     assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
     assert calls == {"local_action": 2 if argv[0] == "harness-4-10" else 0,
