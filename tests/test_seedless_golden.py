@@ -9,8 +9,10 @@ stopped closing each connection set twice and census and the single-verdict
 commands came to share one report emitter, the next four (the benchmark's
 own witness, harness and census tasks) while maps were still validated
 ``Permutation`` objects, before bare image tuples replaced them, and the
-last two (``check-graph`` on one non-CCA and one CCA graph) while
-``is_cca_graph`` still ran both affinity routes on every graph.  They are
+next two (``check-graph`` on one non-CCA and one CCA graph) while
+``is_cca_graph`` still ran both affinity routes on every graph, and the
+last (``pair`` on C(64) with Dih(C(64))) while the pair path still listed
+B, Dih(G) and the colour group of the quaternion shape.  They are
 never regenerated from the code under test, so any change to a verdict, a
 witness, a check narrative or ``stats.nodes`` shows up here.
 
@@ -118,6 +120,10 @@ GOLDEN = [
      "3fa1dd7c62c97719b1ad2eedec64ae23c8398defbdcbc0f5e3dce1d3ef376e03", {}),
     (("check-graph", "C(6)", "{r} +inv"),
      "5b0a1571497c8f344eabff4f898560a776b2bcedef81bfde6f1dc9d5f0af9699", {}),
+    # the inversion shape with B = Dih(G) of order 128, pinned while B,
+    # Dih(G) and the quaternion shape's colour group were still listed
+    (("pair", "C(64)", "Dih(C(64))"),
+     "d8667268dbb874ba7696194884f6dc8218e32cc22019f81412386ea05e6a1724", {}),
 ]
 
 
