@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
+from . import labeling
 from .engine import Check, Verdict, VerdictKind, is_affine, \
     is_colour_preserving
 from .errors import CapExceededError, InternalInconsistencyError, \
@@ -24,8 +25,6 @@ from .graphs import Arc, CayleyColouredGraph, ColouredGraph, cayley_graph, \
 from .groups import FiniteGroup, closure, cyclic, dihedral, \
     extend_homomorphism
 from .perm import compose, inverse, power
-from .labeling import ArcLabeling, arc_labeling, cayley_form as _cayley_form, \
-    induced_vertex_map
 
 
 def _index_map(group: FiniteGroup) -> dict:
@@ -181,18 +180,19 @@ def _expected_connection(actors: KnnActors) -> list[int]:
 
 
 def knn_cayley_form(actors: KnnActors
-                    ) -> tuple[ArcLabeling, CayleyColouredGraph, list]:
+                    ) -> tuple[labeling.ArcLabeling, CayleyColouredGraph,
+                               list]:
     """Label the arcs of K_{n,n} by G and read off the Cayley presentation.
 
     The connection set must come out as exactly {tau} together with the
     nontrivial powers of rho2; anything else is a construction bug.
     """
-    labeling = arc_labeling(actors.graph, actors.g, actors.base_arc)
-    cg, elem_of_vertex, _ = _cayley_form(labeling)
+    lab = labeling.arc_labeling(actors.graph, actors.g, actors.base_arc)
+    cg, elem_of_vertex, _ = labeling.cayley_form(lab)
     if list(cg.connection) != _expected_connection(actors):
         raise InternalInconsistencyError(
             "recovered connection set is not {tau} u {rho2^k}")
-    return labeling, cg, elem_of_vertex
+    return lab, cg, elem_of_vertex
 
 
 def cyclic_dihedral_witness(n: int) -> Verdict:
@@ -208,7 +208,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
     checks.append(Check("actors", True, f"|G| = {actors.g.order}"))
 
     try:
-        labeling, cg, _ = knn_cayley_form(actors)
+        lab, cg, _ = knn_cayley_form(actors)
     except ValueError as exc:
         raise PipelineError("arc-regular", str(exc)) from exc
     checks.append(Check("arc-regular", True,
@@ -217,7 +217,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
                         f"{cg.vertex_count} vertices, connection "
                         "{tau} u {rho2^k}"))
 
-    witness = induced_vertex_map(actors.sigma2, labeling)
+    witness = labeling.induced_vertex_map(actors.sigma2, lab)
     if not is_colour_preserving(cg, witness):
         raise PipelineError("witness", "transported sigma2 broke a colour")
     checks.append(Check("witness-colour-preserving", True, ""))

@@ -185,7 +185,7 @@ def _realize_pair_b(args, g: groups.FiniteGroup, ghat: groups.FiniteGroup,
     if isinstance(b_ast, lang.EDih) and lang.print_expr(b_ast.inner) == g_text:
         if not g.is_abelian():
             raise SpecElabError("Dih(G) as a point group needs abelian G")
-        gens = [tuple(row) for row in g.table]
+        gens = [g.table[x] for x in groups.minimal_generating_sequence(g)]
         gens.append(tuple(g.inverse))
         return groups.closure(gens, name=f"Dih({g_text})")
     if isinstance(b_ast, lang.EPerms):

@@ -21,7 +21,8 @@ from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, automorphism_generators, closure,
                      greedy_closure, grow_closure, inverse_classes,
-                     q8_c2n_isomorphism, recognize_dicyclic, stabilizer_chain)
+                     minimal_generating_sequence, q8_c2n_isomorphism,
+                     recognize_dicyclic, stabilizer_chain)
 
 
 class VerdictKind(str, Enum):
@@ -344,9 +345,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     coset reflection closes it), or Q8 x C2^n (three axis reflections close
     it).  The shapes are not mutually exclusive (C4 is both abelian and
     generalized dicyclic over C2), so all three are evaluated and recorded.
-    Decided on the stabilizer of vertex 0: the colour group a0 is every
-    colour-preserving bijection and holds the translations, which act
-    transitively, so |a0| = |G| |Stab|.
+    Decided on generators of Stab, the stabilizer of vertex 0: the colour
+    group a0 is every colour-preserving bijection and holds the
+    translations, which act transitively, so |a0| = |G| |Stab|.
     """
     checks: list[Check] = []
     if ghat.realization is None or b.realization is None:
@@ -368,27 +369,27 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("g-subgroup-of-b", g_in_b, f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    _, stab_order, stats = _searched_group(kg, 1)
+    stab_gens, stab_order, stats = _searched_group(kg, 1)
     order = ghat.order * stab_order
     checks.append(Check("colour-group-computed", True,
                         f"order {order} on the complete colour graph"))
 
-    # B moved from points to element indices is conjugation, and the
-    # colour-preserving maps form a group, so its generators decide it
-    b_gens, _ = greedy_closure(b.realization, tuple(range(degree)), _After)
+    # B moved to element indices is a homomorphism of B's table, and the
+    # colour-preserving maps form a group, so the table's generators decide
+    b_gens = [b.realization[x] for x in minimal_generating_sequence(b)]
     b_in_a0 = all(is_colour_preserving(
         kg, [elem_of_pt[p[x]] for x in pt_of_elem]) for p in b_gens)
     checks.append(Check("b-within-colour-group", b_in_a0, ""))
 
     # for s fixing the identity, s not the identity map, the translations and
-    # the translations after s make up a0 iff s is in a0 and |Stab| = 2
+    # the translations after s make up a0 iff Stab = {id, s}, generated by s
     two_cosets = stab_order == 2
     witness = None
 
     bullet_1 = False
     if ghat.is_abelian() and not ghat.is_elementary_abelian_2():
         inv_perm = tuple(ghat.inverse)
-        bullet_1 = two_cosets and is_colour_preserving(kg, inv_perm)
+        bullet_1 = two_cosets and inv_perm in stab_gens
         if bullet_1:
             witness = inv_perm
     checks.append(Check("abelian-inversion-shape", bullet_1, ""))
@@ -401,7 +402,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
             inside = set(w.subgroup)
             sigma = tuple(i if i in inside else ghat.inverse[i]
                           for i in range(ghat.order))
-            if is_colour_preserving(kg, sigma):
+            if sigma in stab_gens:
                 bullet_2 = True
                 if witness is None:
                     witness = sigma
@@ -421,11 +422,11 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                        else target.inverse[p] for p in range(ghat.order)]
             sigmas.append(tuple(back.images[sigma_t[iso.images[i]]]
                                 for i in range(ghat.order)))
-        # with the sigmas in a0, their span lies in a0: equal iff as large
+        # the sigmas fix the identity, so in a0 they lie in Stab, and the
+        # translations after their span are a0 once it is as large as Stab
         if all(is_colour_preserving(kg, s) for s in sigmas):
-            _, span = greedy_closure([tuple(r) for r in ghat.table] + sigmas,
-                                     tuple(range(ghat.order)), _After)
-            bullet_3 = len(span) == order
+            _, span = greedy_closure(sigmas, tuple(range(ghat.order)), _After)
+            bullet_3 = len(span) == stab_order
         if bullet_3 and witness is None:
             witness = sigmas[0]
     checks.append(Check("quaternion-reflections-shape", bullet_3, ""))

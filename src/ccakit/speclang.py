@@ -21,6 +21,10 @@ from .groups import (FiniteGroup, closure, cyclic, dihedral, direct_product,
                      within_cap, wreath_c2)
 from .perm import from_cycles
 
+# brackets open at once plus products met, at most, in one expression: each
+# is one level of the recursion that parses, prints and elaborates it
+_MAX_NESTING = 100
+
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
           "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", "^": "CARET",
           "*": "STAR", "+": "PLUS", "-": "MINUS", "=": "EQUALS"}
@@ -177,6 +181,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0  # brackets open now plus products met so far
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -203,11 +208,25 @@ class _Parser:
 
     # ---- expressions -----------------------------------------------------
 
+    def nest(self, tok: Token) -> None:
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise SpecSyntaxError(
+                f"more than {_MAX_NESTING} brackets and products nested",
+                tok.line, tok.col)
+
+    def parse_inner(self, bracket: Token):
+        """An expression inside ``bracket``, one level deeper."""
+        self.nest(bracket)
+        inner = self.parse_expr()
+        self.nesting -= 1
+        return inner
+
     def parse_expr(self):
         tok = self.peek()
         node = self.parse_term()
         while self.peek().kind == "NAME" and self.peek().text == "x":
-            self.advance()
+            self.nest(self.advance())
             right = self.parse_term()
             node = EProduct(node, right, pos=(tok.line, tok.col))
         return node
@@ -215,8 +234,7 @@ class _Parser:
     def parse_term(self):
         tok = self.peek()
         if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_expr()
+            inner = self.parse_inner(self.advance())
             self.expect("RPAREN", "')'")
             return inner
         if tok.kind != "NAME":
@@ -235,20 +253,17 @@ class _Parser:
         if head == "Q8":
             return EQ8(pos=pos)
         if head == "Dih":
-            self.expect("LPAREN", "'('")
-            inner = self.parse_expr()
+            inner = self.parse_inner(self.expect("LPAREN", "'('"))
             self.expect("RPAREN", "')'")
             return EDih(inner, pos=pos)
         if head == "Dic":
-            self.expect("LPAREN", "'('")
-            inner = self.parse_expr()
+            inner = self.parse_inner(self.expect("LPAREN", "'('"))
             self.expect("COMMA", "','")
             word = self.parse_word(("RPAREN",))
             self.expect("RPAREN", "')'")
             return EDic(inner, word, pos=pos)
         if head == "Wr2":
-            self.expect("LPAREN", "'('")
-            inner = self.parse_expr()
+            inner = self.parse_inner(self.expect("LPAREN", "'('"))
             self.expect("RPAREN", "')'")
             return EWreath(inner, pos=pos)
         if head == "Perm":

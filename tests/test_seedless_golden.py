@@ -53,7 +53,7 @@ import tracemalloc
 
 import pytest
 
-from ccakit import bipartite, engine, groups, kernels
+from ccakit import bipartite, engine, groups, kernels, labeling
 from ccakit.cli import main
 from ccakit.graphs import complete_colour_graph
 from ccakit.report import to_json
@@ -408,8 +408,8 @@ def test_prop33_builds_no_arc_labelling(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("arc labelling used")
 
-    monkeypatch.setattr(bipartite, "arc_labeling", refuse)
-    monkeypatch.setattr(bipartite, "induced_vertex_map", refuse)
+    monkeypatch.setattr(labeling, "arc_labeling", refuse)
+    monkeypatch.setattr(labeling, "induced_vertex_map", refuse)
     argv = ("witness-prop33", "--n", "5")
     assert main([*argv, "--seedless"]) == 0
     out = capsys.readouterr().out
