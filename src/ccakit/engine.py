@@ -345,9 +345,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     coset reflection closes it), or Q8 x C2^n (three axis reflections close
     it).  The shapes are not mutually exclusive (C4 is both abelian and
     generalized dicyclic over C2), so all three are evaluated and recorded.
-    Decided on generators of Stab, the stabilizer of vertex 0: the colour
-    group a0 is every colour-preserving bijection and holds the
-    translations, which act transitively, so |a0| = |G| |Stab|.
+    Decided on generators of Stab, the identity's stabilizer in the colour
+    group a0 of every colour-preserving bijection, conjugate to vertex 0's:
+    a0 holds the translations, which act transitively, so |a0| = |G| |Stab|.
     """
     checks: list[Check] = []
     if ghat.realization is None or b.realization is None:
@@ -369,7 +369,9 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("g-subgroup-of-b", g_in_b, f"|B| = {len(b_points)}"))
 
     kg = complete_colour_graph(ghat)
-    stab_gens, stab_order, stats = _searched_group(kg, 1)
+    gens0, stab_order, stats = _searched_group(kg, 1)
+    left, back = ghat.table[0], ghat.table[ghat.inverse[0]]
+    stab_gens = [tuple(back[x[y]] for y in left) for x in gens0]
     order = ghat.order * stab_order
     checks.append(Check("colour-group-computed", True,
                         f"order {order} on the complete colour graph"))

@@ -261,6 +261,27 @@ def test_script_stops_at_first_failure(tmp_path, capsys):
     assert out == ""  # the failing first task printed nothing
 
 
+DEEP = ["(" * 500 + "C(2)" + ")" * 500, " x ".join(["C(1)"] * 1000)]
+
+
+@pytest.mark.parametrize("expr", DEEP, ids=["brackets", "products"])
+def test_deep_nesting_is_a_positioned_error(capsys, expr):
+    code, out, err = run(capsys, "check-group", expr)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column ")
+    assert "more than 100 brackets and products" in err
+
+
+def test_deep_nesting_in_a_script_is_a_positioned_error(tmp_path, capsys):
+    spec = tmp_path / "deep.spec"
+    spec.write_text("let G = " + "(" * 1200 + "C(2)" + ")" * 1200 +
+                    "\ncheck-group G\n")
+    code, out, err = run(capsys, "script", str(spec))
+    assert (code, out) == (1, "")
+    assert err == ("error: line 1, column 109: more than 100 brackets and "
+                   "products nested\n")
+
+
 def test_search_deeper_than_the_recursion_limit(capsys):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)

@@ -459,9 +459,11 @@ def test_pair_no_when_b_too_big():
 
 
 PAIR_GROUPS = ["C(3)", "C(4)", "C(5)", "C(6)", "C(7)", "C(8)", "C(9)",
-               "C(10)", "C(12)", "C(2) x C(2)", "C(2) x C(4)", "C(3) x C(3)",
-               "C(2) x C(6)", "C(2) x C(2) x C(2)", "D(3)", "D(4)", "D(5)",
-               "D(6)", "Q8", "Q8 x C(2)", "Dic(C(6), r^3)", "Dic(C(8), r^4)"]
+               "C(10)", "C(12)", "C(16)", "C(2) x C(2)", "C(2) x C(4)",
+               "C(3) x C(3)", "C(2) x C(6)", "C(2) x C(8)",
+               "C(2) x C(2) x C(2)", "D(3)", "D(4)", "D(5)", "D(6)", "Q8",
+               "Q8 x C(2)", "Q8 x C(2) x C(2)", "Q8 x C(2) x C(2) x C(2)",
+               "Dic(C(6), r^3)", "Dic(C(8), r^4)", "Dic(C(12), r^6)"]
 PAIR_CASES = [(expr, "G") for expr in PAIR_GROUPS] + [
     (expr, "Dih(G)") for expr in PAIR_GROUPS
     if elaborate(parse_expr(expr)).is_abelian()] + [
@@ -469,18 +471,37 @@ PAIR_CASES = [(expr, "G") for expr in PAIR_GROUPS] + [
     # B with an empty generators dict, so only its realization names them;
     # Sym(4) closed from its 4-cycle first, a translation inside the colour
     # group, so that the transposition kept after it decides
-    ("C(6)", "Dih(G), no generators"), ("C(4)", "Sym(4), no generators")]
+    ("C(6)", "Dih(G), no generators"), ("C(4)", "Sym(4), no generators")] + [
+    # the shapes' maps fix the identity, which is then not vertex 0
+    (expr, "G, identity at 2") for expr in ("C(4)", "C(5)", "C(2) x C(4)",
+                                            "Dic(C(6), r^3)", "Q8")] + [
+    ("C(6)", "Dih(G), identity at 2")]
+
+
+def _identity_at_2(g):
+    """g's table with the labels of elements 0 and 2 swapped."""
+    label = list(range(g.order))
+    label[0], label[2] = 2, 0
+    table = [[0] * g.order for _ in range(g.order)]
+    for i, row in enumerate(g.table):
+        for j, ij in enumerate(row):
+            table[label[i]][label[j]] = label[ij]
+    return FiniteGroup([g.elements[label[i]] for i in range(g.order)], table)
 
 
 @pytest.mark.parametrize("expr, b_name", PAIR_CASES,
                          ids=[f"{e} with {b}" for e, b in PAIR_CASES])
 def test_pair_shapes_match_set_built_route(expr, b_name):
-    """Colour checks and the order |G| |Stab| decide every check exactly as
-    building the maps each shape predicts and comparing them with the whole
-    colour group does; the one search is the vertex-0 stabilizer's."""
+    """Colour checks of B's generators, the stabilizer's generators and
+    its order decide every check exactly as building the maps each shape
+    predicts and comparing them with the whole colour group does; the one
+    search is the vertex-0 stabilizer's."""
     g = elaborate(parse_expr(expr))
+    if b_name.endswith("identity at 2"):
+        g = _identity_at_2(g)
+        assert g.identity == 2
     ghat = left_regular(g)
-    if b_name == "G":
+    if b_name.startswith("G"):
         b = ghat
     elif b_name.startswith("Dih(G)"):
         b = dih_closure(g)
@@ -500,6 +521,26 @@ def test_pair_shapes_match_set_built_route(expr, b_name):
     assert got.stats.nodes == engine._searched_group(kg, 1)[2].nodes
     if got.kind is VerdictKind.PAIR_YES:
         assert replay_witness(got)
+
+
+@pytest.mark.parametrize("expr", ["C(4)", "C(5)", "C(2) x C(8)",
+                                  "Dic(C(6), r^3)", "Dic(C(12), r^6)"])
+def test_pair_shapes_run_no_colour_check_on_their_maps(expr, monkeypatch):
+    """The inversion and the dicyclic reflections are decided by membership
+    among the generators of the vertex-0 stabilizer: with B = G, the only
+    colour checks are of B's generators, translations, which move the
+    identity."""
+    checked, preserving = [], engine.is_colour_preserving
+
+    def counted(g, p):
+        checked.append(tuple(p))
+        return preserving(g, p)
+
+    monkeypatch.setattr(engine, "is_colour_preserving", counted)
+    ghat = left_regular(elaborate(parse_expr(expr)))
+    v = is_complete_colour_pair(ghat, ghat)
+    assert v.kind is VerdictKind.PAIR_YES
+    assert checked and all(p[ghat.identity] != ghat.identity for p in checked)
 
 
 def test_replay_rejects_a_translation_as_pair_witness():

@@ -521,6 +521,38 @@ def test_pair_checks_b_on_its_generators(capsys, monkeypatch):
     assert len(checked) <= len(kept) + 4
 
 
+PAIRS = [a for a, _, _ in GOLDEN if a[0] == "pair"]
+
+
+@pytest.mark.parametrize("argv", PAIRS, ids=[" ".join(a) for a in PAIRS])
+def test_pair_lists_neither_b_nor_the_colour_group(capsys, monkeypatch, argv):
+    """Dih(G) is closed from G's minimal generating rows plus the inversion,
+    and the pair verdict closes nothing larger than the three quaternion
+    reflections, not B nor the translations: the pinned bytes still come
+    out."""
+    closure, greedy_closure = groups.closure, engine.greedy_closure
+    handed, closed = [], []
+
+    def counted_closure(gens, *args, **kwargs):
+        handed.append(len(gens))
+        return closure(gens, *args, **kwargs)
+
+    def counted_greedy_closure(candidates, *args, **kwargs):
+        candidates = list(candidates)
+        closed.append(len(candidates))
+        return greedy_closure(candidates, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "closure", counted_closure)
+    monkeypatch.setattr(engine, "greedy_closure", counted_greedy_closure)
+    assert main([*argv, "--seedless"]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    assert closed == ([3] if argv[1].startswith("Q8") else [])
+    g = elaborate(parse_expr(argv[1]), {})
+    assert handed == ([len(groups.minimal_generating_sequence(g)) + 1]
+                      if argv[2].startswith("Dih(") else [])
+
+
 @pytest.mark.parametrize("argv, stdout_digest, files", GOLDEN,
                          ids=[" ".join(a) for a, _, _ in GOLDEN])
 def test_seedless_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv,

@@ -70,6 +70,37 @@ def test_syntax_errors_carry_positions(text, line, col):
     assert err.value.column == col
 
 
+def _product(k: int) -> str:
+    return " x ".join(["C(1)"] * k)
+
+
+# each bracket open at once and each product counts one level; the 101st
+# fails at its own token
+@pytest.mark.parametrize("text,col", [
+    ("(" * 500 + "C(2)" + ")" * 500, 101),
+    ("Dih(" * 101 + "C(2)" + ")" * 101, 404),
+    ("Wr2(" * 60 + "Dic(" * 60 + "Q8, y" + ")" * 120, 404),
+    (_product(1000), 706),
+    ("(" * 50 + _product(52) + ")" * 50, 50 + 7 * 50 + 6),
+], ids=["brackets", "constructors", "mixed-constructors", "products",
+        "brackets-and-products"])
+def test_nesting_beyond_the_bound_is_a_syntax_error(text, col):
+    with pytest.raises(SpecSyntaxError, match="more than 100") as err:
+        parse_expr(text)
+    assert (err.value.line, err.value.column) == (1, col)
+
+
+def test_nesting_up_to_the_bound_parses_prints_and_elaborates():
+    assert parse_expr("(" * 100 + "C(2)" + ")" * 100) == ECyclic(2)
+    text = _product(101)  # 100 products, left-nested 100 deep
+    ast = parse_expr(text)
+    assert print_expr(ast) == text
+    assert parse_expr(print_expr(ast)) == ast
+    assert elaborate(ast).order == 1
+    text = "(" * 99 + _product(2) + ")" * 99
+    assert elaborate(parse_expr(text)).order == 1
+
+
 def test_word_parsing():
     w = parse_word("r^2 s")
     assert [(a.name, a.exp) for a in w.atoms] == [("r", 2), ("s", 1)]
