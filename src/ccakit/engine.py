@@ -424,8 +424,7 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
                        else target.inverse[p] for p in range(ghat.order)]
             sigmas.append(tuple(back.images[sigma_t[iso.images[i]]]
                                 for i in range(ghat.order)))
-        # the sigmas fix the identity, so in a0 they lie in Stab, and the
-        # translations after their span are a0 once it is as large as Stab
+        # fixing the identity, sigmas in a0 lie in Stab: equal iff as large
         if all(is_colour_preserving(kg, s) for s in sigmas):
             _, span = greedy_closure(sigmas, tuple(range(ghat.order)), _After)
             bullet_3 = len(span) == stab_order

@@ -351,8 +351,8 @@ def test_spec_commands_run_no_knn_layers(argv):
                          ids=[a[0] for a in KNN_COMMANDS])
 def test_knn_commands_run_no_spec_language(argv):
     """witness-prop33 labels no arcs, so it runs no labeling code either."""
-    unused = {"speclang", "labeling"} if argv[0] == "witness-prop33" else {
-        "speclang"}
+    unused = ({"speclang", "labeling"} if argv[0] == "witness-prop33"
+              else {"speclang"})
     assert _modules_run(*argv) == LAYERS - unused | {"cli"}
 
 

@@ -527,9 +527,8 @@ def test_pair_shapes_match_set_built_route(expr, b_name):
                                   "Dic(C(6), r^3)", "Dic(C(12), r^6)"])
 def test_pair_shapes_run_no_colour_check_on_their_maps(expr, monkeypatch):
     """The inversion and the dicyclic reflections are decided by membership
-    among the generators of the vertex-0 stabilizer: with B = G, the only
-    colour checks are of B's generators, translations, which move the
-    identity."""
+    among the stabilizer's generators: with B = G, the only colour checks
+    are of B's generators, translations, which move the identity."""
     checked, preserving = [], engine.is_colour_preserving
 
     def counted(g, p):
