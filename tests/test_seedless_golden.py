@@ -10,11 +10,14 @@ commands came to share one report emitter, the next four (the benchmark's
 own witness, harness and census tasks) while maps were still validated
 ``Permutation`` objects, before bare image tuples replaced them, and the
 next two (``check-graph`` on one non-CCA and one CCA graph) while
-``is_cca_graph`` still ran both affinity routes on every graph, and the
-last (``pair`` on C(64) with Dih(C(64))) while the pair path still listed
-B, Dih(G) and the colour group of the quaternion shape.  They are
-never regenerated from the code under test, so any change to a verdict, a
-witness, a check narrative or ``stats.nodes`` shows up here.
+``is_cca_graph`` still ran both affinity routes on every graph, the next
+one (``pair`` on C(64) with Dih(C(64))) while the pair path still listed
+B, Dih(G) and the colour group of the quaternion shape, and the last two
+(``check-group`` on D(5) x D(5) and on D(3) x D(3) x C(2)) while the walk
+over class sequences still grew each sequence's subgroup by its own
+closure step.  They are never regenerated from the code under test, so any
+change to a verdict, a witness, a check narrative or ``stats.nodes`` shows
+up here.
 
 The four tasks in ``MOVED`` were re-pinned once, when the orbit walk came
 to examine only inclusion-minimal connection sets, and only after
@@ -124,6 +127,12 @@ GOLDEN = [
     # Dih(G) and the quaternion shape's colour group were still listed
     (("pair", "C(64)", "Dih(C(64))"),
      "d8667268dbb874ba7696194884f6dc8218e32cc22019f81412386ea05e6a1724", {}),
+    # the walk over class sequences: the paper's D_2n x D_2n at n = 5, non-CCA
+    # after 6 sets, and a non-CCA group of order 72 after 9
+    (("check-group", "D(5) x D(5)"),
+     "1b0778c13f67c5a47597eb8a6ac3db5311303d74e4ab4de30e22c67292b27d02", {}),
+    (("check-group", "D(3) x D(3) x C(2)"),
+     "f8c3e0b8ccb74abae2001d26f91d45b5c238e00126e737806ba4733c442378c3", {}),
 ]
 
 
