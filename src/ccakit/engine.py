@@ -20,7 +20,7 @@ from .errors import InternalInconsistencyError
 from .graphs import (CayleyColouredGraph, ColouredGraph,
                      complete_colour_graph, is_connected)
 from .groups import (FiniteGroup, automorphism_generators, closure,
-                     greedy_closure, grow_closure, inverse_classes,
+                     greedy_closure, inverse_classes,
                      minimal_generating_sequence, q8_c2n_isomorphism,
                      recognize_dicyclic, stabilizer_chain)
 
@@ -240,7 +240,7 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     classes.  Such an S is irredundant (in any order its classes generate a
     strictly growing chain of subgroups), so it has at most log2|g| classes.
     Class sequences grow one size at a time: each non-generating prefix meets
-    every later class outside its subgroup, by one ``grow_closure`` step.
+    every later class outside its subgroup; each such join is closed once.
     Dropping a class other than the last leaves a sequence met one size
     earlier, so a generating sequence is minimal when none of those generate.
     Minimal sets of one size come in ``combinations`` order; the first member
@@ -272,18 +272,18 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     marked: set[tuple[int, ...]] = set()  # minimal sets of examined orbits
     spanning: set[tuple[int, ...]] = set()  # generating sequences met
     processed = 0
-    level = [((), [g.identity], [])]  # (prefix, its subgroup, its rows)
+    joins: dict = {}  # (subgroup, k) -> <subgroup, class k>, closed once
+    level = [((), frozenset([g.identity]))]  # (prefix, its subgroup)
     while level:
         grown = []
-        for combo, order, rows in level:
-            known = set(order)
+        for combo, sub in level:
             for k in range(combo[-1] + 1 if combo else 0, len(classes)):
-                if reps[k] not in known:  # else k is redundant here
-                    sub, sub_rows = order.copy(), rows + [g.table[reps[k]]]
-                    grow_closure(sub, known.copy(), sub_rows)
-                    grown.append((combo + (k,), sub, sub_rows))
+                if reps[k] not in sub:  # else k is redundant here
+                    if (sub, k) not in joins:
+                        joins[sub, k] = g.subgroup_closure([*sub, reps[k]])
+                    grown.append((combo + (k,), joins[sub, k]))
         level = [node for node in grown if len(node[1]) < g.order]
-        for combo, sub, _ in grown:
+        for combo, sub in grown:
             if len(sub) < g.order:
                 continue
             spanning.add(combo)

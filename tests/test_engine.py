@@ -363,6 +363,23 @@ def test_is_cca_group_closes_each_connection_set_once(expr, monkeypatch):
     assert _report(is_cca_group(g)) == _report(expected)
 
 
+def test_is_cca_group_closes_each_subgroup_class_join_once(monkeypatch):
+    """On D(5) x D(5) the walk grows 35,897 class sequences, which reach
+    3,492 distinct (subgroup, class) joins: each join is closed once, by
+    ``FiniteGroup.subgroup_closure``, and the sequences that reach it share
+    the subgroup."""
+    g = elaborate(parse_expr("D(5) x D(5)"), {})
+    subgroup_closure, joins = FiniteGroup.subgroup_closure, []
+
+    def counted(self, gens):
+        joins.append((frozenset(gens[:-1]), gens[-1]))  # subgroup, class rep
+        return subgroup_closure(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted)
+    assert is_cca_group(g).kind is VerdictKind.NON_CCA
+    assert 0 < len(set(joins)) == len(joins) <= 3500
+
+
 def test_cap_counts_only_connection_sets():
     # |Aut(C12)| = 4 exceeds the caps, yet the orbits are still used: the
     # three minimal orbits fit a cap of 3, not one of 2
