@@ -667,12 +667,11 @@ def recognize_dicyclic(g: FiniteGroup) -> list[DicyclicWitness]:
     Exhausts the index-2 subgroups; for each abelian one, x ranges over the
     other coset and must satisfy x^2 = y an involution and x^-1 a x = a^-1.
     """
-    out = []
+    out, abelian = [], g.is_abelian()
     for sub in _index2_subgroups(g):
         inside = set(sub)
-        abelian = all(g.table[a][b] == g.table[b][a]
-                      for a in sub for b in sub if a < b)
-        if not abelian:
+        if not (abelian or all(g.table[a][b] == g.table[b][a]
+                               for a in sub for b in sub if a < b)):
             continue
         for x in range(g.order):
             if x in inside:

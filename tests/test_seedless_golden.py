@@ -530,6 +530,35 @@ def test_pair_checks_b_on_its_generators(capsys, monkeypatch):
     assert len(checked) <= len(kept) + 4
 
 
+def test_pair_checks_no_translation_for_colours(capsys, monkeypatch):
+    """Left translations of G preserve the colours of its complete colour
+    graph by construction: with B = G = Q8 x C(2), every generator of B is
+    one, and the only colour checks are of the three quaternion reflections
+    and the witness replay, all of which fix the identity."""
+    checked, seen_ghat = [], []
+    preserving = engine.is_colour_preserving
+    pair = engine.is_complete_colour_pair
+
+    def counted(g, p):
+        checked.append(tuple(p))
+        return preserving(g, p)
+
+    def recorded(ghat, b):
+        seen_ghat.append(ghat)
+        return pair(ghat, b)
+
+    monkeypatch.setattr(engine, "is_colour_preserving", counted)
+    monkeypatch.setattr(engine, "is_complete_colour_pair", recorded)
+    argv = ("pair", "Q8 x C(2)", "Q8 x C(2)")
+    assert main([*argv, "--seedless"]) == 0
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == {a: d for a, d, _ in GOLDEN}[argv]
+    ghat, = seen_ghat
+    assert checked
+    assert all(list(p) != ghat.table[p[ghat.identity]] for p in checked)
+    assert all(p[ghat.identity] == ghat.identity for p in checked)
+
+
 PAIRS = [a for a, _, _ in GOLDEN if a[0] == "pair"]
 
 
