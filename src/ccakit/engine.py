@@ -376,8 +376,8 @@ def is_complete_colour_pair(ghat: FiniteGroup, b: FiniteGroup) -> Verdict:
     checks.append(Check("colour-group-computed", True,
                         f"order {order} on the complete colour graph"))
 
-    # the colour-preserving maps form a group containing G's translations, and
-    # B at element indices is a homomorphism of its table: generators decide
+    # the colour-preserving maps form a group holding G's translations, and B
+    # at element indices is a homomorphism: its generators outside G decide
     b_gens = [b.realization[x] for x in minimal_generating_sequence(b)]
     b_in_a0 = all(is_colour_preserving(
         kg, [elem_of_pt[p[x]] for x in pt_of_elem]) for p in b_gens
