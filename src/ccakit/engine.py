@@ -273,6 +273,7 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
     spanning: set[tuple[int, ...]] = set()  # generating sequences met
     processed = 0
     joins: dict = {}  # (subgroup, k) -> <subgroup, class k>, closed once
+    shared: dict = {}  # each join -> the one copy that nodes holding it share
     level = [((), frozenset([g.identity]))]  # (prefix, its subgroup)
     while level:
         grown = []
@@ -280,12 +281,11 @@ def is_cca_group(g: FiniteGroup, cap: int | None = None) -> Verdict:
             for k in range(combo[-1] + 1 if combo else 0, len(classes)):
                 if reps[k] not in sub:  # else k is redundant here
                     if (sub, k) not in joins:
-                        joins[sub, k] = g.subgroup_closure([*sub, reps[k]])
+                        j = g.subgroup_closure([*sub, reps[k]])
+                        joins[sub, k] = shared.setdefault(j, j)
                     grown.append((combo + (k,), joins[sub, k]))
         level = [node for node in grown if len(node[1]) < g.order]
-        for combo, sub in grown:
-            if len(sub) < g.order:
-                continue
+        for combo in [c for c, sub in grown if len(sub) == g.order]:
             spanning.add(combo)
             if combo in marked or any(combo[:i] + combo[i + 1:] in spanning
                                       for i in range(len(combo) - 1)):
