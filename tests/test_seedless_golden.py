@@ -12,10 +12,12 @@ own witness, harness and census tasks) while maps were still validated
 next two (``check-graph`` on one non-CCA and one CCA graph) while
 ``is_cca_graph`` still ran both affinity routes on every graph, the next
 one (``pair`` on C(64) with Dih(C(64))) while the pair path still listed
-B, Dih(G) and the colour group of the quaternion shape, and the last two
+B, Dih(G) and the colour group of the quaternion shape, the next two
 (``check-group`` on D(5) x D(5) and on D(3) x D(3) x C(2)) while the walk
 over class sequences still grew each sequence's subgroup by its own
-closure step.  They are never regenerated from the code under test, so any
+closure step, and the last two (``check-group`` on D(7) x D(7) and
+``pair`` on Q8 x C(2)^3) while the isomorphism search still tried every
+image of a generator's order.  They are never regenerated from the code under test, so any
 change to a verdict, a witness, a check narrative or ``stats.nodes`` shows
 up here.
 
@@ -133,6 +135,12 @@ GOLDEN = [
      "1b0778c13f67c5a47597eb8a6ac3db5311303d74e4ab4de30e22c67292b27d02", {}),
     (("check-group", "D(3) x D(3) x C(2)"),
      "f8c3e0b8ccb74abae2001d26f91d45b5c238e00126e737806ba4733c442378c3", {}),
+    # the Aut(G) search: the paper's D_2n x D_2n at n = 7, non-CCA, and the
+    # quaternion shape at order 64, whose pair runs are_isomorphic
+    (("check-group", "D(7) x D(7)"),
+     "ea34df91d99904e2ccbc19d3527593556112a8b1613ae04b2ae24f0d03cdd762", {}),
+    (("pair", "Q8 x C(2) x C(2) x C(2)", "Q8 x C(2) x C(2) x C(2)"),
+     "b9f09a3bc154d7275cdda6438e63ad0d2c74d1f8b074cda7702a31cb5ba0e19f", {}),
 ]
 
 
