@@ -87,9 +87,6 @@ class ColouredGraph:
     def neighbours(self, v: int) -> tuple[int, ...]:
         return tuple(x for x, _ in self.adjacency[v])
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def vertex_label(self, v: int) -> str:
         if self.vertex_names is not None:
             return self.vertex_names[v]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from itertools import product as iproduct
+from operator import eq
 from typing import NamedTuple
 
 from . import kernels, perm
@@ -49,14 +50,15 @@ class FiniteGroup:
     ``validate`` certifies a table.
     """
 
-    __slots__ = ("elements", "table", "identity", "inverse", "generators",
-                 "realization", "name")
+    __slots__ = ("elements", "order", "table", "identity", "inverse",
+                 "generators", "realization", "name")
 
     def __init__(self, elements, table, generators=None, realization=None,
                  name=None):
         self.elements = list(elements)
+        self.order = len(self.elements)
         self.table = table
-        full = list(range(len(self.elements)))
+        full = list(range(self.order))
         # a table without an identity row keeps 0, which validate() refuses
         self.identity = next(
             (e for e, row in enumerate(table) if row == full), 0)
@@ -65,15 +67,8 @@ class FiniteGroup:
         self.realization = realization
         self.name = name
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -495,9 +490,6 @@ class Isomorphism(NamedTuple):
     target: FiniteGroup
     images: tuple[int, ...]
 
-    def apply(self, i: int) -> int:
-        return self.images[i]
-
     def inverted(self) -> "Isomorphism":
         return Isomorphism(self.target, self.source, perm.inverse(self.images))
 
@@ -544,23 +536,27 @@ def extend_homomorphism(g: FiniteGroup, gens: list[int], images: list[int],
     return ext[0]  # type: ignore[return-value]
 
 
-def _iso_candidates(g, h, gens, prefix=()):
+def _keys(g: FiniteGroup) -> list[tuple[int, int]]:
+    """Each element's (order, centralizer order).  An isomorphism keeps
+    both, so it sends each element to one of the same key."""
+    cols = list(zip(*g.table))
+    return [(g.element_order(x), sum(map(eq, row, cols[x])))
+            for x, row in enumerate(g.table)]
+
+
+def _iso_candidates(g, h, gens, choices):
     """Backtracking generator-image search; yields full image maps.
 
-    gens must generate g.  Each choice of an image for gens[k] is kept only
-    when gens[:k+1] -> chosen extends to an injective homomorphism on the
-    subgroup gens[:k+1] generate, so every map yielded is an isomorphism
-    onto its image, in lexicographic order of the generator images.  The
-    images of gens[:len(prefix)] are fixed to ``prefix``.
+    gens must generate g, and ``choices[k]`` lists the images tried for
+    gens[k].  Each choice is kept only when gens[:k+1] -> chosen extends to
+    an injective homomorphism on the subgroup gens[:k+1] generate, so every
+    map yielded is an isomorphism onto its image, in lexicographic order of
+    the generator images' places in ``choices``.
     """
-    g_orders = [g.element_order(s) for s in gens]
-    h_by_order: dict[int, list[int]] = {}
-    for i in range(h.order):
-        h_by_order.setdefault(h.element_order(i), []).append(i)
     chosen: list[int] = []
 
     def backtrack(k: int):
-        for cand in prefix[k:k + 1] or h_by_order.get(g_orders[k], []):
+        for cand in choices[k]:
             chosen.append(cand)
             ext = _extend_over(g, gens[:k + 1], chosen, h)
             if ext is not None:
@@ -578,17 +574,21 @@ def _iso_candidates(g, h, gens, prefix=()):
 def are_isomorphic(g: FiniteGroup, h: FiniteGroup) -> Isomorphism | None:
     """First isomorphism found in canonical search order, or None.
 
-    Prunes on the element-order profile up front and on partial
-    homomorphisms during the generator-image backtracking.
+    The sorted lists of element keys (``_keys``) must agree up front.
+    Each generator's images are tried over h's elements of its key, and
+    partial homomorphisms prune the backtracking.
     """
     if g.order != h.order:
         return None
-    if sorted(g.order_profile().items()) != sorted(h.order_profile().items()):
+    g_keys, h_keys = _keys(g), _keys(h)
+    if sorted(g_keys) != sorted(h_keys):
         return None
     gens = minimal_generating_sequence(g)
     if not gens:  # trivial group
         return Isomorphism(g, h, (h.identity,))
-    for f in _iso_candidates(g, h, gens):
+    choices = [[x for x, k in enumerate(h_keys) if k == g_keys[s]]
+               for s in gens]
+    for f in _iso_candidates(g, h, gens, choices):
         return Isomorphism(g, h, f)
     return None
 
@@ -598,7 +598,9 @@ def automorphisms(g: FiniteGroup) -> list[Isomorphism]:
     gens = minimal_generating_sequence(g)
     if not gens:
         return [Isomorphism(g, g, (g.identity,))]
-    return [Isomorphism(g, g, f) for f in _iso_candidates(g, g, gens)]
+    keys = _keys(g)
+    choices = [[x for x, k in enumerate(keys) if k == keys[s]] for s in gens]
+    return [Isomorphism(g, g, f) for f in _iso_candidates(g, g, gens, choices)]
 
 
 def stabilizer_chain(base, candidates, first) -> tuple[list[tuple], int]:
@@ -627,14 +629,16 @@ def stabilizer_chain(base, candidates, first) -> tuple[list[tuple], int]:
 
 def automorphism_generators(g: FiniteGroup) -> tuple[list[tuple], int]:
     """Generators of Aut(g) as image tuples, and |Aut(g)|: the
-    ``stabilizer_chain`` on g's generating sequence, trying the elements of
-    each generator's order by the isomorphism search's first map."""
+    ``stabilizer_chain`` on g's generating sequence.  Level i tries the
+    elements of gens[i]'s key (``_keys``, computed once), each by the
+    isomorphism search's first map fixing gens[:i] and sending gens[i]
+    there, every later generator tried over the elements of its key."""
     gens = minimal_generating_sequence(g)
-    orders = [g.element_order(x) for x in range(g.order)]
-    return stabilizer_chain(
-        gens, lambda i: [x for x in range(g.order)
-                         if orders[x] == orders[gens[i]]],
-        lambda i, w: next(_iso_candidates(g, g, gens, gens[:i] + [w]), None))
+    keys = _keys(g)
+    choices = [[x for x, k in enumerate(keys) if k == keys[s]] for s in gens]
+    return stabilizer_chain(gens, choices.__getitem__, lambda i, w: next(
+        _iso_candidates(g, g, gens, [[s] for s in gens[:i]] + [[w]]
+                        + choices[i + 1:]), None))
 
 
 class DicyclicWitness(NamedTuple):

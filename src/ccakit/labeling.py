@@ -27,9 +27,6 @@ class ArcLabeling(NamedTuple):
     arc_to_elem: dict
     elem_to_arc: list
 
-    def label(self, a: Arc) -> int:
-        return self.arc_to_elem[a]
-
 
 def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
                  base_arc: Arc | None = None) -> ArcLabeling:

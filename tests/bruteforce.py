@@ -15,7 +15,10 @@ verdicts and witnesses ``engine.is_cca_group`` must match, while
 walk must match set for set;
 ``reclosing_iso_candidates`` vets each generator image by re-closing
 the images chosen so far and extends a homomorphism only at the leaf, which
-the isomorphism search in ``groups`` must match map for map; and
+the isomorphism search in ``groups`` must match map for map, and
+``order_keyed_generators`` runs the stabilizer chain of Aut(G) over every
+element of each generator's order with first maps read off that listing,
+whose generators ``groups.automorphism_generators`` must match; and
 ``matrix_search`` runs the search kernel on a flat n*n colour matrix,
 comparing each placement with every placed vertex and each leaf over all
 vertex pairs, whose listing the stabilizer chain of ``kernels.search``
@@ -48,7 +51,8 @@ from ccakit.graphs import ColouredGraph, cayley_graph, complete_colour_graph
 from ccakit.groups import (_format_word, automorphisms, dihedral,
                            direct_product, extend_homomorphism,
                            greedy_closure, inverse_classes,
-                           q8_c2n_isomorphism, recognize_dicyclic, wreath_c2)
+                           minimal_generating_sequence, q8_c2n_isomorphism,
+                           recognize_dicyclic, stabilizer_chain, wreath_c2)
 from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
 from ccakit.perm import compose, power
 
@@ -322,6 +326,25 @@ def reclosing_iso_candidates(g, h, gens):
             chosen.pop()
 
     yield from backtrack(0)
+
+
+def order_keyed_generators(g):
+    """Generators of Aut(g) and |Aut(g)| from ``stabilizer_chain`` on g's
+    generating sequence, trying at level i every element of gens[i]'s
+    order; the first map for w is the first of
+    ``reclosing_iso_candidates(g, g, gens)`` that fixes gens[:i] and sends
+    gens[i] to w."""
+    gens = minimal_generating_sequence(g)
+    orders = [g.element_order(x) for x in range(g.order)]
+    maps = list(reclosing_iso_candidates(g, g, gens))
+
+    def first(i, w):
+        return next((f for f in maps
+                     if [f[s] for s in gens[:i + 1]] == gens[:i] + [w]), None)
+
+    return stabilizer_chain(
+        gens, lambda i: [x for x in range(g.order)
+                         if orders[x] == orders[gens[i]]], first)
 
 
 def _oracle_walk(g, cap, keep):

@@ -268,7 +268,7 @@ def test_is_cca_group_c3xd3_finds_paper_counterexample():
     conn = v.data["connection"]
     g = direct_product(cyclic(3), dihedral(3))
     assert g.generates(conn)
-    assert sorted(g.inv(c) for c in conn) == sorted(conn)
+    assert sorted(g.inverse[c] for c in conn) == sorted(conn)
 
 
 def test_is_cca_group_cap_truncation():

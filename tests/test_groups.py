@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccakit import engine, perm
+from ccakit import engine, groups, perm
 from ccakit.bipartite import double_dihedral, knn_actors
 from ccakit.cli import _realize_pair_b
 from ccakit.engine import local_action
@@ -27,7 +27,8 @@ from ccakit.groups import (FiniteGroup, are_isomorphic,
                            quaternion, recognize_dicyclic, wreath_c2)
 
 from bruteforce import (brute_automorphisms, closure_by_products,
-                        reclosing_iso_candidates, reclosing_scan)
+                        order_keyed_generators, reclosing_iso_candidates,
+                        reclosing_scan)
 
 
 def naive_element_order(table, i):
@@ -155,7 +156,7 @@ def test_quaternion_table():
     assert q.mult(j, j) == minus_one
     k = q.mult(i, j)
     assert q.elements[k] == "k"
-    assert q.mult(j, i) == q.inv(k)
+    assert q.mult(j, i) == q.inverse[k]
     assert q.order_profile() == {1: 1, 2: 1, 4: 6}
 
 
@@ -398,8 +399,8 @@ def test_are_isomorphic():
     assert iso is not None
     for a in range(8):
         for b in range(8):
-            assert iso.apply(quaternion().table[a][b]) == \
-                iso.target.table[iso.apply(a)][iso.apply(b)]
+            assert iso.images[quaternion().table[a][b]] == \
+                iso.target.table[iso.images[a]][iso.images[b]]
 
 
 def test_automorphism_counts():
@@ -408,12 +409,15 @@ def test_automorphism_counts():
     assert len(automorphisms(quaternion())) == 24
 
 
-@pytest.mark.parametrize("g", CORPUS + [
+AUT_CORPUS = CORPUS + [
     direct_product(direct_product(quaternion(), cyclic(2)), cyclic(2)),
     direct_product(direct_product(cyclic(2), cyclic(2)),
                    direct_product(cyclic(2), cyclic(2))),
     direct_product(cyclic(5), dihedral(5)),
-    generalized_dicyclic(cyclic(12), 6)], ids=lambda g: g.name or "?")
+    generalized_dicyclic(cyclic(12), 6)]
+
+
+@pytest.mark.parametrize("g", AUT_CORPUS, ids=lambda g: g.name or "?")
 def test_automorphism_generators_close_to_the_listing(g):
     gens, order = automorphism_generators(g)
     for f in gens:
@@ -424,6 +428,30 @@ def test_automorphism_generators_close_to_the_listing(g):
     listed = {a.images for a in automorphisms(g)}
     assert known == listed
     assert order == len(listed)
+
+
+@pytest.mark.parametrize("g", AUT_CORPUS, ids=lambda g: g.name or "?")
+def test_automorphism_generators_match_the_order_keyed_chain(g):
+    """Trying only images of each generator's (order, centralizer order)
+    key drops no map the chain keeps: the same generators, in order."""
+    assert automorphism_generators(g) == order_keyed_generators(g)
+
+
+def test_automorphism_generators_try_only_keyed_images(monkeypatch):
+    """On D(5) x D(5) the chain and its first-map searches extend at most
+    100 partial maps; trying every element of each generator's order made
+    11,064 extensions."""
+    extend, calls = groups._extend_over, []
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(groups, "_extend_over", counted)
+    _, order = automorphism_generators(direct_product(dihedral(5),
+                                                      dihedral(5)))
+    assert order == 800
+    assert len(calls) <= 100
 
 
 @pytest.mark.parametrize("g", [g for g in CORPUS if g.order <= 8],

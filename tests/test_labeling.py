@@ -26,7 +26,7 @@ def test_arc_labeling_bijective_and_equivariant():
     grp = dihedral_action()
     lab = arc_labeling(g, grp)
     assert lab.base_arc == arcs(g)[0]
-    assert lab.label(lab.base_arc) == grp.identity
+    assert lab.arc_to_elem[lab.base_arc] == grp.identity
     assert len(lab.arc_to_elem) == grp.order == 12
     # equivariance at one sampled pair
     p = grp.realization[5]
@@ -91,7 +91,7 @@ def test_arc_labeling_respects_chosen_base():
     g = hexagon()
     grp = dihedral_action()
     lab = arc_labeling(g, grp, base_arc=Arc(2, 3))
-    assert lab.label(Arc(2, 3)) == grp.identity
+    assert lab.arc_to_elem[Arc(2, 3)] == grp.identity
 
 
 def test_cayley_form_of_hexagon():
