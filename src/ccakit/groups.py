@@ -539,9 +539,8 @@ def extend_homomorphism(g: FiniteGroup, gens: list[int], images: list[int],
 def _keys(g: FiniteGroup) -> list[tuple[int, int]]:
     """Each element's (order, centralizer order).  An isomorphism keeps
     both, so it sends each element to one of the same key."""
-    cols = list(zip(*g.table))
-    return [(g.element_order(x), sum(map(eq, row, cols[x])))
-            for x, row in enumerate(g.table)]
+    return [(g.element_order(x), sum(map(eq, row, col)))
+            for x, (row, col) in enumerate(zip(g.table, zip(*g.table)))]
 
 
 def _iso_candidates(g, h, gens, choices):

@@ -17,9 +17,9 @@ B, Dih(G) and the colour group of the quaternion shape, the next two
 over class sequences still grew each sequence's subgroup by its own
 closure step, and the last two (``check-group`` on D(7) x D(7) and
 ``pair`` on Q8 x C(2)^3) while the isomorphism search still tried every
-image of a generator's order.  They are never regenerated from the code under test, so any
-change to a verdict, a witness, a check narrative or ``stats.nodes`` shows
-up here.
+image of a generator's order.  They are never regenerated from the code
+under test, so any change to a verdict, a witness, a check narrative or
+``stats.nodes`` shows up here.
 
 The four tasks in ``MOVED`` were re-pinned once, when the orbit walk came
 to examine only inclusion-minimal connection sets, and only after
