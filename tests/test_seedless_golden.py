@@ -15,9 +15,11 @@ one (``pair`` on C(64) with Dih(C(64))) while the pair path still listed
 B, Dih(G) and the colour group of the quaternion shape, the next two
 (``check-group`` on D(5) x D(5) and on D(3) x D(3) x C(2)) while the walk
 over class sequences still grew each sequence's subgroup by its own
-closure step, and the last two (``check-group`` on D(7) x D(7) and
+closure step, the next two (``check-group`` on D(7) x D(7) and
 ``pair`` on Q8 x C(2)^3) while the isomorphism search still tried every
-image of a generator's order.  They are never regenerated from the code
+image of a generator's order, and the last two (``check-group`` on C7 x| C3
+as permutations and ``witness-prop33 --n 11``) while ``closure`` still built
+the whole |G| x |G| table.  They are never regenerated from the code
 under test, so any change to a verdict, a witness, a check narrative or
 ``stats.nodes`` shows up here.
 
@@ -141,6 +143,13 @@ GOLDEN = [
      "ea34df91d99904e2ccbc19d3527593556112a8b1613ae04b2ae24f0d03cdd762", {}),
     (("pair", "Q8 x C(2) x C(2) x C(2)", "Q8 x C(2) x C(2) x C(2)"),
      "b9f09a3bc154d7275cdda6438e63ad0d2c74d1f8b074cda7702a31cb5ba0e19f", {}),
+    # closure-built groups: the walk on C7 x| C3 given by permutations,
+    # non-CCA, and the largest witness-prop33 within the default cap (order
+    # 484)
+    (("check-group", "Perm[(0 1 2 3 4 5 6), (1 2 4)(3 6 5)]"),
+     "ac293254520a4e43a6ca12c01152cb0b2954745cbd7d8a1b057e29b59cd4f9d4", {}),
+    (("witness-prop33", "--n", "11"),
+     "f908f9c5a0c74a1aefe2b38ad444144345c4446e053c3c929029e55d95715b26", {}),
 ]
 
 
