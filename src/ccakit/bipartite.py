@@ -58,15 +58,15 @@ def _wreath_elements(h: FiniteGroup, d: FiniteGroup) -> list[int] | None:
     rs = [d.generators["r"], d.generators["s"]]
     f1 = extend_homomorphism(d, rs, [rho1, sigma1], h)
     f2 = extend_homomorphism(d, rs, [rho2, sigma2], h)
-    m = h.table
-    if (f1 is None or f2 is None or m[tau][tau] != h.identity
-            or any(m[x][y] != m[y][x] or m[m[tau][x]][tau] != y
+    m, by_tau = h.table, h.column(tau)
+    if (f1 is None or f2 is None or by_tau[tau] != h.identity
+            or any(m[x][y] != m[y][x] or by_tau[m[tau][x]] != y
                    for x, y in ((rho1, rho2), (sigma1, sigma2)))
             or m[rho1][sigma2] != m[sigma2][rho1]
             or m[sigma1][rho2] != m[rho2][sigma1]):
         return None
-    elems = [y for x1 in f1 for x2 in f2
-             for y in (m[x1][x2], m[m[x1][x2]][tau])]
+    elems = [y for x1 in f1 for x12 in map(m[x1].__getitem__, f2)
+             for y in (x12, by_tau[x12])]
     return elems if len(set(elems)) == h.order else None
 
 

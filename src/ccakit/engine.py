@@ -182,13 +182,14 @@ def is_affine(cg: CayleyColouredGraph, p: tuple[int, ...]
 
 def _untranslated(cg: CayleyColouredGraph, imgs) -> list[int] | None:
     """``is_affine`` on an image tuple: the automorphism part, or None."""
-    g, table = cg.group, cg.group.table
-    g0inv_row = table[g.inverse[imgs[g.identity]]]
+    g = cg.group
+    g0inv_row = g.table[g.inverse[imgs[g.identity]]]
     alpha = [g0inv_row[x] for x in imgs]
-    if all(alpha[table[i][t]] == table[a][alpha[t]]
-           for t in cg.generating_set for i, a in enumerate(alpha)):
-        return alpha
-    return None
+    for t in cg.generating_set:  # alpha(i t) = alpha(i) alpha(t) for all i
+        by_t, by_alpha_t = g.column(t), g.column(alpha[t])
+        if any(alpha[by_t[i]] != by_alpha_t[a] for i, a in enumerate(alpha)):
+            return None
+    return alpha
 
 
 def _normalizes(cg: CayleyColouredGraph, p) -> bool:

@@ -105,8 +105,9 @@ class CayleyColouredGraph:
 
     ``connection`` holds element indices, sorted; the graph joins g to g*c
     and colours the edge by min(index(c), index(c^-1)).  The rest is read
-    off the group table on first use: the search's adjacency lists, a
-    generating set, and the named ``graph`` for reports and replay.
+    off the group on first use: the search's adjacency lists and the named
+    ``graph`` for reports and replay from the connection's columns, and a
+    generating set from the rows of the elements it keeps.
     """
 
     def __init__(self, group: FiniteGroup, connection: tuple[int, ...]):
@@ -120,11 +121,13 @@ class CayleyColouredGraph:
     @cached_property
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """``adjacency[g]``: the pairs (g*c, colour of c), c in the
-        connection set, ascending."""
-        conn, inv = self.connection, self.group.inverse
-        cids = [min(c, inv[c]) for c in conn]
-        return [sorted(zip(map(row.__getitem__, conn), cids))
-                for row in self.group.table]
+        connection set, ascending: read off the connection's columns."""
+        g = self.group
+        cids = [min(c, g.inverse[c]) for c in self.connection]
+        cols = [g.column(c) for c in self.connection]
+        # with no connection, zip would give no vertex at all
+        heads = zip(*cols) if cols else [()] * g.order
+        return [sorted(zip(h, cids)) for h in heads]
 
     @cached_property
     def generating_set(self) -> list[int]:
@@ -143,8 +146,7 @@ class CayleyColouredGraph:
                  for c in self.connection if c <= inv[c]}
         edge_colours = {}
         for c in self.connection:
-            for i, row in enumerate(g.table):
-                j = row[c]
+            for i, j in enumerate(g.column(c)):
                 edge_colours[(i, j) if i < j else (j, i)] = min(c, inv[c])
         return ColouredGraph(g.order, edge_colours, names,
                              vertex_names=g.elements)

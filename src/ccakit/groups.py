@@ -38,23 +38,27 @@ class FiniteGroup:
     """A finite group given by an element list and a multiplication table.
 
     ``elements[i]`` is a display name, ``table[i][j]`` the index of the
-    product (element i times element j, i acting on the left).  ``generators``
-    maps generator names to indices.  ``realization``, when present, assigns
+    product (element i times element j, i acting on the left), and
+    ``column(j)`` lists ``table[x][j]`` over x.  ``generators`` maps
+    generator names to indices.  ``realization``, when present, assigns
     each index an image tuple (see ``perm``) and is a faithful
     homomorphism for the left-action composition convention.
 
     The constructor trusts the table and keeps it uncopied: every
     constructor here passes a list of lists that is a group table by
-    construction and that nothing mutates later.  It only finds the identity
-    (the row 0..n-1) and each inverse (the identity's place in its row);
-    ``validate`` certifies a table.
+    construction and that nothing mutates later; ``closure`` passes a
+    ``_Derived`` table, whose rows are built on first read, with the
+    inverses and the columns.  Otherwise the constructor finds the identity
+    (the row 0..n-1) and each inverse (the identity's place in its row), and
+    each column is read off the rows on first use; ``validate`` certifies a
+    table.
     """
 
     __slots__ = ("elements", "order", "table", "identity", "inverse",
-                 "generators", "realization", "name")
+                 "generators", "realization", "name", "_columns")
 
     def __init__(self, elements, table, generators=None, realization=None,
-                 name=None):
+                 name=None, inverse=None, columns=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.table = table
@@ -62,10 +66,20 @@ class FiniteGroup:
         # a table without an identity row keeps 0, which validate() refuses
         self.identity = next(
             (e for e, row in enumerate(table) if row == full), 0)
-        self.inverse = [row.index(self.identity) for row in table]
+        self.inverse = ([row.index(self.identity) for row in table]
+                        if inverse is None else inverse)
         self.generators = dict(generators or {})
         self.realization = realization
         self.name = name
+        self._columns = [None] * self.order if columns is None else columns
+
+    def column(self, j: int) -> list[int]:
+        """``column(j)[x]`` is x times j: right multiplication by j, built on
+        first read and kept."""
+        col = self._columns[j]
+        if col is None:
+            col = self._columns[j] = [row[j] for row in self.table]
+        return col
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -249,6 +263,42 @@ def _format_word(tokens: list[str]) -> str:
     return "*".join(parts)
 
 
+class _Derived:
+    """A list of lists built on demand: entry i, unless given, is made on
+    first read from entry ``parents[i][0]`` by ``step(entry, parents[i][1])``
+    and kept.  Reads, iteration, ``len`` and ``==`` act as on the finished
+    list, and a kept entry is the list itself, so writes to it stay."""
+
+    __slots__ = ("built", "parents", "step")
+
+    def __init__(self, built: list, parents: list, step):
+        self.built, self.parents, self.step = built, parents, step
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, i: int) -> list[int]:
+        built = self.built
+        entry = built[i]
+        if entry is None:
+            path = []  # up to the nearest built ancestor, without recursion
+            while entry is None:
+                path.append(i)
+                i = self.parents[i][0]
+                entry = built[i]
+            for i in reversed(path):
+                entry = built[i] = self.step(entry, self.parents[i][1])
+        return entry
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.built)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    __hash__ = None
+
+
 def closure(gens: list[tuple[int, ...]], cap: int | None = None,
             names: list[str] | None = None, name: str | None = None
             ) -> FiniteGroup:
@@ -261,10 +311,14 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
     the right by the generators in the given order, so element 0 is the
     identity and element names are first-seen words in the generators.
 
-    The table costs 2|G|k compositions for k generators, not |G|^2: each
-    element e_i after the identity was found as e_p g_k with p < i, so
-    e_i e_j = e_p (g_k e_j) and row i is row p read through left
-    multiplication by g_k.
+    The pass costs |G|k compositions for k generators and keeps what they
+    give: the column of each generator, x -> x g_k.  Each element e_i after
+    the identity was found as e_p g_k with p < i, so g e_i = (g e_p) g_k
+    gives the left multiplications x -> g_k x by lookups, and the inverses
+    come from the realization.  Nothing else is built up front: row i is
+    row p read through x -> g_k x, and column i is column p read through
+    x -> x g_k, each built on first read (``_Derived``) and kept, so a
+    caller that reads O(k) rows and columns pays O(|G|k), not |G|^2.
     """
     if not gens:
         raise ValueError("closure needs at least one generator")
@@ -284,32 +338,40 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
     elems: list[tuple[int, ...]] = [ident]
     index: dict[tuple[int, ...], int] = {ident: 0}
     words: list[list[str]] = [[]]
-    found_as: list[tuple[int, int]] = []  # (p, k) with e_i = e_p g_k, i >= 1
-    qi = 0
-    while qi < len(elems):
-        base = elems[qi]
+    parents: list = [None]  # (p, k) with e_i = e_p g_k, for i >= 1
+    right: list[list[int]] = [[] for _ in gens]  # right[k][i]: e_i g_k
+    for qi, base in enumerate(elems):  # also walks what it appends
         for k, (gname, gp) in enumerate(zip(names, gens)):
             q = perm.compose(base, gp)
-            if q not in index:
+            i = index.get(q)
+            if i is None:
                 if len(elems) >= cap:
                     raise CapExceededError(
                         f"order exceeds cap {cap} while closing "
                         f"{len(gens)} generators")
-                index[q] = len(elems)
+                i = index[q] = len(elems)
                 elems.append(q)
                 words.append(words[qi] + [gname])
-                found_as.append((qi, k))
-        qi += 1
+                parents.append((qi, k))
+            right[k].append(i)
 
-    lmul = [[index[perm.compose(gp, e)] for e in elems] for gp in gens]
-    table = [list(range(len(elems)))]
-    for p, k in found_as:
-        row_p = table[p]
-        table.append([row_p[x] for x in lmul[k]])
+    left = []  # left[k][i]: g_k e_i
+    for col in right:
+        lk = [col[0]]
+        for p, k in parents[1:]:
+            lk.append(right[k][lk[p]])
+        left.append(lk)
+    order = len(elems)
+    unbuilt = [None] * (order - 1)
     return FiniteGroup(
-        [_format_word(w) for w in words], table,
+        [_format_word(w) for w in words],
+        _Derived([list(range(order))] + unbuilt, parents,
+                 lambda row, k: list(map(row.__getitem__, left[k]))),
         generators={nm: index[gp] for nm, gp in zip(names, gens)},
-        realization=elems, name=name)
+        realization=elems, name=name,
+        inverse=[index[perm.inverse(p)] for p in elems],
+        columns=_Derived([list(range(order))] + unbuilt, parents,
+                         lambda col, k: list(map(right[k].__getitem__, col))))
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -511,10 +573,11 @@ def _extend_over(g: FiniteGroup, gens: list[int], images: list[int],
     f: list[int | None] = [None] * g.order
     f[g.identity] = h.identity
     reached = [g.identity]
+    cols = [g.column(s) for s in gens]
     for x in reached:  # also walks what it appends
         fx = f[x]
-        for s, fs in zip(gens, images):
-            y = g.table[x][s]
+        for col, fs in zip(cols, images):
+            y = col[x]
             fy = h.table[fx][fs]
             if f[y] is None:
                 f[y] = fy

@@ -173,12 +173,22 @@ def test_wreath_order():
 
 
 def assert_closure_matches_products(g, gens, names):
-    """g = closure(gens, names) laid out exactly as the |G|^2 route does."""
+    """g = closure(gens, names) laid out exactly as the |G|^2 route does:
+    every column, row, product and inverse.  Columns and rows are read
+    last first, so each is built on first read from ancestors not yet
+    built."""
     elements, generators, realization, table = \
         closure_by_products(gens, names, 512)
     assert g.elements == elements
     assert g.generators == generators
     assert g.realization == realization
+    last_first = range(g.order - 1, -1, -1)
+    assert [g.column(j) for j in last_first] == \
+        [[row[j] for row in table] for j in last_first]
+    assert [g.table[i] for i in last_first] == table[::-1]
+    assert all(g.mult(i, j) == table[i][j]
+               for i in range(g.order) for j in range(g.order))
+    assert g.inverse == [row.index(g.identity) for row in table]
     assert g.table == table
 
 
@@ -233,6 +243,7 @@ def test_closure_matches_products_on_random_generators(data):
         return
     g = closure(gens, cap=120)
     assert (g.elements, g.generators, g.realization, g.table) == expected
+    assert_closure_matches_products(closure(gens, cap=120), gens, names)
 
 
 def test_closure_composes_linearly_in_the_order(monkeypatch):
@@ -249,8 +260,8 @@ def test_closure_composes_linearly_in_the_order(monkeypatch):
     monkeypatch.setattr(perm, "compose", counting)
     h = closure(gens, cap=200)
     assert h.order == 200
-    # the |G|^2 table alone would take 40,000
-    assert 0 < calls <= 2 * h.order * len(gens)
+    # one per element and generator; the |G|^2 table alone would take 40,000
+    assert calls == h.order * len(gens)
 
 
 def compose_images(a, b):

@@ -291,6 +291,24 @@ def test_harness_checks_automorphisms_on_generators_of_h(monkeypatch):
     assert sizes and max(sizes) < a.h.order
 
 
+def _rows_built(g: FiniteGroup) -> int:
+    return sum(row is not None for row in g.table.built)
+
+
+def test_witness_routes_build_few_rows_of_their_groups():
+    """The flip witness reads the columns of its connection set and of a
+    generating set, and a few rows: not every row of <G, gamma>.  The
+    harness reads all of G's rows in the labelling's equivariance check,
+    but not all of H's."""
+    v = double_dihedral_witness(9)
+    big = v.context.group
+    assert big.order == 324 and _rows_built(big) < big.order
+    a = knn_actors(7)
+    v = arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)
+    assert v.kind is VerdictKind.HYPOTHESES_OK
+    assert a.h.order == 392 and _rows_built(a.h) < a.h.order
+
+
 def test_harness_refuses_an_overgroup_that_is_not_a_group():
     a = knn_actors(3)
     h = a.h

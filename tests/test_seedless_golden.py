@@ -518,6 +518,21 @@ def test_prop33_flip_check_and_replay_hold_no_colour_lookup():
     assert peak < 2.4 * 2**20
 
 
+def test_prop33_at_n_21_holds_no_whole_table(monkeypatch):
+    """<G, gamma> has order 1,764 at n = 21; its |G| x |G| table alone
+    would take about 24 MB (the whole witness peaked at 28.6 MB with it)."""
+    monkeypatch.setenv("CCA_MAX_ORDER", "2000")
+    bipartite.double_dihedral_witness(3)  # load the lazy layers untraced
+    tracemalloc.start()
+    try:
+        v = bipartite.double_dihedral_witness(21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.context.group.order == 1764
+    assert peak < 10 * 2**20
+
+
 def test_pair_checks_b_on_its_generators(capsys, monkeypatch):
     """pair decides whether B lies in the colour group on greedy
     generators of B: on C(64) with Dih(C(64)), one colour check per kept
