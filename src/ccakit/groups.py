@@ -296,8 +296,6 @@ class _Derived:
     def __eq__(self, other) -> bool:
         return list(self) == other
 
-    __hash__ = None
-
 
 def closure(gens: list[tuple[int, ...]], cap: int | None = None,
             names: list[str] | None = None, name: str | None = None

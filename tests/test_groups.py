@@ -236,13 +236,11 @@ def test_closure_matches_products_on_random_generators(data):
         min_size=1, max_size=3), label="gens")
     names = [f"g{i}" for i in range(len(gens))]
     try:
-        expected = closure_by_products(gens, names, 120)
+        closure_by_products(gens, names, 120)
     except CapExceededError:
         with pytest.raises(CapExceededError):
             closure(gens, cap=120)
         return
-    g = closure(gens, cap=120)
-    assert (g.elements, g.generators, g.realization, g.table) == expected
     assert_closure_matches_products(closure(gens, cap=120), gens, names)
 
 

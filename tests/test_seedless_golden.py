@@ -520,7 +520,8 @@ def test_prop33_flip_check_and_replay_hold_no_colour_lookup():
 
 def test_prop33_at_n_21_holds_no_whole_table(monkeypatch):
     """<G, gamma> has order 1,764 at n = 21; its |G| x |G| table alone
-    would take about 24 MB (the whole witness peaked at 28.6 MB with it)."""
+    would take about 24 MB (the whole witness peaked at about 28 MB with
+    it)."""
     monkeypatch.setenv("CCA_MAX_ORDER", "2000")
     bipartite.double_dihedral_witness(3)  # load the lazy layers untraced
     tracemalloc.start()
