@@ -213,9 +213,9 @@ def _finish(args, task_str: str, slug_prefix: str, v: engine.Verdict) -> int:
 
 def _emit(args, task_str: str, slug_prefix: str, results: list[engine.Verdict],
           context, **body) -> int:
-    """Print the report on ``results``, write the --out files, and pick the
+    """Write the --out files, print the report on ``results``, and pick the
     exit code: 2 under --strict when a cap blocked any of the results.  A
-    DOT request without a graph to draw fails before anything is output."""
+    DOT request without a graph or a failed --out write prints nothing."""
     draw = args.emit != "json"
     if draw and not isinstance(context, graphs.CayleyColouredGraph):
         raise ValueError("this task produced no graph to draw")
@@ -224,11 +224,11 @@ def _emit(args, task_str: str, slug_prefix: str, results: list[engine.Verdict],
         stats.add(v.stats)
     text = rep.to_json(rep.build_report(task_str, stats, args.seedless,
                                         **body))
-    sys.stdout.write(text)
     if args.out:
         slug = slug_prefix + _task_slug(args)
         dot_text = rep.render_dot(context.graph, slug) if draw else None
         rep.write_outputs(args.out, slug, text, dot_text, args.emit)
+    sys.stdout.write(text)
     capped = any(v.kind is engine.VerdictKind.UNKNOWN_CAP for v in results)
     return 2 if capped and args.strict else 0
 

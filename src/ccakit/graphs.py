@@ -40,10 +40,8 @@ class ColouredGraph:
             colour[key] = cid
         self._colour = colour
         self.colour_names = dict(colour_names or {})
-        if vertex_names is not None:
-            vertex_names = list(vertex_names)
-            if len(vertex_names) != vertex_count:
-                raise ValueError("one name per vertex, please")
+        if vertex_names is not None and len(vertex_names) != vertex_count:
+            raise ValueError("one name per vertex, please")
         self.vertex_names = vertex_names
 
     @property

@@ -48,10 +48,10 @@ class FiniteGroup:
     constructor here passes a list of lists that is a group table by
     construction and that nothing mutates later; ``closure`` passes a
     ``_Derived`` table, whose rows are built on first read, with the
-    inverses and the columns.  Otherwise the constructor finds the identity
-    (the row 0..n-1) and each inverse (the identity's place in its row), and
-    each column is read off the rows on first use; ``validate`` certifies a
-    table.
+    inverses, the columns and ``_Names``, kept as given.  Otherwise the
+    constructor finds the identity (the row 0..n-1) and each inverse (the
+    identity's place in its row), and each column is read off the rows on
+    first use; ``validate`` certifies a table.
     """
 
     __slots__ = ("elements", "order", "table", "identity", "inverse",
@@ -59,7 +59,8 @@ class FiniteGroup:
 
     def __init__(self, elements, table, generators=None, realization=None,
                  name=None, inverse=None, columns=None):
-        self.elements = list(elements)
+        self.elements = (elements if isinstance(elements, _Names)
+                         else list(elements))
         self.order = len(self.elements)
         self.table = table
         full = list(range(self.order))
@@ -297,6 +298,16 @@ class _Derived:
         return list(self) == other
 
 
+class _Names(_Derived):
+    """Display names built on first read: entry i is e_i's word in the
+    generators, its parent's word plus one letter, read as a string."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> str:
+        return _format_word(_Derived.__getitem__(self, i))
+
+
 def closure(gens: list[tuple[int, ...]], cap: int | None = None,
             names: list[str] | None = None, name: str | None = None
             ) -> FiniteGroup:
@@ -307,7 +318,8 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
 
     Elements are discovered breadth-first from the identity, multiplying on
     the right by the generators in the given order, so element 0 is the
-    identity and element names are first-seen words in the generators.
+    identity and element names are first-seen words in the generators, each
+    made on first read (``_Names``).
 
     The pass costs |G|k compositions for k generators and keeps what they
     give: the column of each generator, x -> x g_k.  Each element e_i after
@@ -335,11 +347,10 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
     ident = tuple(range(degree))
     elems: list[tuple[int, ...]] = [ident]
     index: dict[tuple[int, ...], int] = {ident: 0}
-    words: list[list[str]] = [[]]
     parents: list = [None]  # (p, k) with e_i = e_p g_k, for i >= 1
     right: list[list[int]] = [[] for _ in gens]  # right[k][i]: e_i g_k
     for qi, base in enumerate(elems):  # also walks what it appends
-        for k, (gname, gp) in enumerate(zip(names, gens)):
+        for k, gp in enumerate(gens):
             q = perm.compose(base, gp)
             i = index.get(q)
             if i is None:
@@ -349,7 +360,6 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
                         f"{len(gens)} generators")
                 i = index[q] = len(elems)
                 elems.append(q)
-                words.append(words[qi] + [gname])
                 parents.append((qi, k))
             right[k].append(i)
 
@@ -362,7 +372,7 @@ def closure(gens: list[tuple[int, ...]], cap: int | None = None,
     order = len(elems)
     unbuilt = [None] * (order - 1)
     return FiniteGroup(
-        [_format_word(w) for w in words],
+        _Names([[]] + unbuilt, parents, lambda w, k: w + [names[k]]),
         _Derived([list(range(order))] + unbuilt, parents,
                  lambda row, k: list(map(row.__getitem__, left[k]))),
         generators={nm: index[gp] for nm, gp in zip(names, gens)},

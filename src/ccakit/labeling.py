@@ -39,6 +39,19 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     and the labelling is equivariant, so label(g(a)) = g * label(a) for
     every g and every arc a: the labels of g's images of all arcs must equal
     g's row of the table.
+
+    That is checked on the rows of the generators and on every row already
+    built; a plain-list table counts as built, so its check is whole.  The
+    unbuilt rows of a ``closure`` group, with closure's own realization,
+    follow.  Say e_i = e_p g_k, p being i's BFS parent in closure: row i is
+    row p read through x -> g_k x, and e_i's realization is e_p's composed
+    with g_k.  Write a_x for the arc labelled x.  The row of g_k is that
+    map, read off the identity row, so its check gives
+    g_k(a_x) = a_(g_k x); then e_i(a_x) = e_p(a_(g_k x)), whose label is
+    row p at g_k x, which is row i at x, once row p passes.  Row p is built
+    and checked, or unbuilt and covered the same way, down to the identity
+    row.  A built row is a stored, mutable list, so it is checked as it
+    stands.
     """
     if group.realization is None:
         raise ValueError("group needs a permutation realization")
@@ -71,8 +84,12 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
         label_of[a.tail * v + a.head] = i
         elem_to_arc.append(a)
     # orbit size |G| = arc count and no collisions, so this is a bijection
-    for row, imgs in zip(group.table, group.realization):
-        if [label_of[imgs[t] * v + imgs[h]] for t, h in elem_to_arc] != row:
+    table = group.table
+    for i in group.generators.values():
+        table[i]  # builds the generators' rows, which unbuilt rows rely on
+    for row, imgs in zip(getattr(table, "built", table), group.realization):
+        if row is not None and [label_of[imgs[t] * v + imgs[h]]
+                                for t, h in elem_to_arc] != row:
             raise InternalInconsistencyError("labelling is not equivariant")
     arc_to_elem = {a: i for i, a in enumerate(elem_to_arc)}
     return ArcLabeling(graph, group, base_arc, arc_to_elem, elem_to_arc)

@@ -31,7 +31,9 @@ predicts and compares it with the colour group, which
 ``engine.is_complete_colour_pair`` must match kind, checks and witness;
 ``transported_colour_breaks`` transports every element of the overgroup
 through the arc labelling, where ``engine.arc_lift_harness`` transports a
-generating set; and ``model_table_pairs`` and ``model_wreath_elements``
+generating set; ``whole_row_equivariance`` compares every row of the table
+with the arc labels, where ``labeling.arc_labeling`` compares the rows of
+the generators and those already built, and must agree with it; and ``model_table_pairs`` and ``model_wreath_elements``
 identify the K_{n,n} groups with model tables built by ``direct_product``
 and ``wreath_c2``, which the factor and wreath routes in ``bipartite`` must
 match element for element; ``normal_forms_by_composition`` composes every
@@ -515,6 +517,17 @@ def transported_colour_breaks(g, grp, h, base_arc=None):
     cg, _, _ = cayley_form(labeling)
     return sum(not is_colour_preserving(cg, induced_vertex_map(p, labeling))
                for p in h.realization)
+
+
+def whole_row_equivariance(group, base_arc) -> bool:
+    """Whether label(g(a)) = g * label(a) for every element g and arc a,
+    labelling each arc by the element that carries ``base_arc`` there: the
+    labels of g's images of all arcs must equal g's row of the table."""
+    t, h = base_arc
+    arc_of = [(p[t], p[h]) for p in group.realization]
+    label = {a: i for i, a in enumerate(arc_of)}
+    return all([label[(p[x], p[y])] for x, y in arc_of] == row
+               for p, row in zip(group.realization, group.table))
 
 
 def model_table_pairs(a, b, names, images, group):

@@ -184,6 +184,18 @@ def test_dot_without_a_graph_fails_before_any_output(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_an_out_path_that_cannot_be_written_prints_no_report(tmp_path,
+                                                            capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for emit in ("json", "dot", "both"):
+        code, out, err = run(capsys, "witness-thm31", "--n", "3",
+                             "--out", str(taken), "--emit", emit)
+        assert (code, out) == (1, ""), emit
+        assert err.startswith("error: [Errno 17] File exists")
+    assert taken.read_text() == ""
+
+
 def test_census_report(capsys):
     d = run_json(capsys, "census", "--orders", "4..8")
     rows = {r["group"]: r["verdict"]["kind"] for r in d["verdicts"]}

@@ -1,8 +1,10 @@
 """The two bipartite witness families and their supporting structure."""
 
+import tracemalloc
+
 import pytest
 
-from ccakit import bipartite, labeling
+from ccakit import bipartite, groups, labeling
 from ccakit.bipartite import (KnnActors, NormalForm, cyclic_dihedral_witness,
                               double_dihedral, double_dihedral_witness, gamma,
                               knn_actors, knn_cayley_form)
@@ -297,9 +299,8 @@ def _rows_built(g: FiniteGroup) -> int:
 
 def test_witness_routes_build_few_rows_of_their_groups():
     """The flip witness reads the columns of its connection set and of a
-    generating set, and a few rows: not every row of <G, gamma>.  The
-    harness reads all of G's rows in the labelling's equivariance check,
-    but not all of H's."""
+    generating set, and a few rows: not every row of <G, gamma>, nor
+    every row of H in the harness."""
     v = double_dihedral_witness(9)
     big = v.context.group
     assert big.order == 324 and _rows_built(big) < big.order
@@ -307,6 +308,54 @@ def test_witness_routes_build_few_rows_of_their_groups():
     v = arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)
     assert v.kind is VerdictKind.HYPOTHESES_OK
     assert a.h.order == 392 and _rows_built(a.h) < a.h.order
+
+
+def test_labelling_builds_only_the_generators_rows_of_g():
+    """The equivariance check reads G's rows of the identity and of the
+    generators, and the rest of each path reads columns: 4 rows of G are
+    built by witness-thm31 at n = 9 (of 162) and by the harness at n = 7
+    (of 98)."""
+    g = cyclic_dihedral_witness(9).context.group
+    a = knn_actors(7)
+    v = arc_lift_harness(a.graph, a.g, a.h, base_arc=a.base_arc)
+    assert v.kind is VerdictKind.HYPOTHESES_OK
+    for grp, order in ((g, 162), (a.g, 98)):
+        built = {i for i, row in enumerate(grp.table.built) if row is not None}
+        assert grp.order == order
+        assert built == {grp.identity, *grp.generators.values()}
+        assert len(built) == 4
+
+
+def test_thm31_at_n_21_holds_no_whole_table(monkeypatch):
+    """G has order 882 at n = 21; the whole-row equivariance check built
+    its table and peaked at about 13 MB, against about 6.4 MB with the
+    generators' rows; what is left is the line graph of the subdivision."""
+    monkeypatch.setenv("CCA_MAX_ORDER", "2000")
+    cyclic_dihedral_witness(3)  # load the lazy layers untraced
+    tracemalloc.start()
+    try:
+        v = cyclic_dihedral_witness(21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.context.group.order == 882
+    assert peak < 9 * 2**20
+
+
+def test_prop33_formats_only_the_names_its_report_reads(monkeypatch):
+    """closure names an element on first read, so <G, gamma> (order 324)
+    formats the names of the report's connection elements and no others."""
+    made = []
+
+    def recording(word):
+        made.append(real(word))
+        return made[-1]
+
+    real = groups._format_word
+    monkeypatch.setattr(groups, "_format_word", recording)
+    v = double_dihedral_witness(9)
+    assert v.context.group.order == 324
+    assert sorted(made) == sorted(v.data["connection"])
 
 
 def test_harness_refuses_an_overgroup_that_is_not_a_group():

@@ -7,7 +7,10 @@ from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
 from ccakit.engine import is_affine, is_colour_preserving
 from ccakit.errors import InternalInconsistencyError
 from ccakit.groups import closure
+from ccakit.bipartite import knn_actors
 from ccakit.perm import from_cycles
+
+from bruteforce import whole_row_equivariance
 
 
 def hexagon():
@@ -43,6 +46,46 @@ def test_arc_labeling_refuses_a_table_with_two_entries_swapped():
     with pytest.raises(InternalInconsistencyError,
                        match="labelling is not equivariant"):
         arc_labeling(g, grp)
+
+
+def test_arc_labeling_refuses_a_corrupted_generator_row():
+    """The unbuilt rows of a closure group are read through the
+    generators' rows, so a wrong entry there must not pass unseen."""
+    g = hexagon()
+    for gen in ("r", "s"):
+        grp = dihedral_action()
+        row = grp.table[grp.generators[gen]]
+        row[3] = row[4]
+        with pytest.raises(InternalInconsistencyError,
+                           match="labelling is not equivariant"):
+            arc_labeling(g, grp)
+
+
+def _labelled_action(n):
+    """The hexagon under D_12 (n None) or K_{n,n} under C_n x D_2n: the
+    graph, a maker of fresh copies of the group, and the base arc."""
+    if n is None:
+        return hexagon(), dihedral_action, None
+    a = knn_actors(n)
+    return a.graph, lambda: knn_actors(n).g, a.base_arc
+
+
+@pytest.mark.parametrize("n", [None, 3, 5, 7])
+def test_arc_labeling_agrees_with_the_whole_row_check(n):
+    """arc_labeling compares only the generators' rows and the rows already
+    built; it accepts and refuses what the check of every row does."""
+    graph, action, base_arc = _labelled_action(n)
+    grp = action()
+    lab = arc_labeling(graph, grp, base_arc)
+    assert whole_row_equivariance(grp, lab.base_arc)
+    for i in (max(grp.generators.values()), grp.order - 1):
+        bad = action()
+        row = bad.table[i]
+        row[0], row[1] = row[1], row[0]
+        with pytest.raises(InternalInconsistencyError,
+                           match="labelling is not equivariant"):
+            arc_labeling(graph, bad, base_arc)
+        assert not whole_row_equivariance(bad, lab.base_arc)
 
 
 def test_arc_labeling_rejects_wrong_size():
