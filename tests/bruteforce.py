@@ -33,12 +33,13 @@ predicts and compares it with the colour group, which
 through the arc labelling, where ``engine.arc_lift_harness`` transports a
 generating set; ``whole_row_equivariance`` compares every row of the table
 with the arc labels, where ``labeling.arc_labeling`` compares the rows of
-the generators and those already built, and must agree with it; and ``model_table_pairs`` and ``model_wreath_elements``
-identify the K_{n,n} groups with model tables built by ``direct_product``
-and ``wreath_c2``, which the factor and wreath routes in ``bipartite`` must
-match element for element; ``normal_forms_by_composition`` composes every
-word rho1^i1 rho2^i2 tau^e gamma^d and ``phi_by_transport`` transports
-sigma2 along the arc labels, which the normal forms and the flip that
+the generators and those already built, and must agree with it; and
+``model_table_pairs`` and ``model_wreath_elements`` identify the K_{n,n}
+groups with model tables built by ``direct_product`` and ``wreath_c2``,
+which the factor and wreath routes in ``bipartite`` must match element
+for element; ``normal_forms_by_composition`` composes every word
+rho1^i1 rho2^i2 tau^e gamma^d and ``phi_by_transport`` transports sigma2
+along the arc labels, which the normal forms and the flip that
 ``bipartite.double_dihedral`` reads off its factor pairing must match.
 """
 

@@ -329,7 +329,7 @@ def test_labelling_builds_only_the_generators_rows_of_g():
 def test_thm31_at_n_21_holds_no_whole_table(monkeypatch):
     """G has order 882 at n = 21; the whole-row equivariance check built
     its table and peaked at about 13 MB, against about 6.4 MB with the
-    generators' rows; what is left is the line graph of the subdivision."""
+    generators' rows; what is left is mostly the graphs' edges."""
     monkeypatch.setenv("CCA_MAX_ORDER", "2000")
     cyclic_dihedral_witness(3)  # load the lazy layers untraced
     tracemalloc.start()
