@@ -41,7 +41,7 @@ _EXPORTS = {name: layer for layer, names in (
                 "recognize_dicyclic", "wreath_c2")),
     ("graphs", ("Arc", "CayleyColouredGraph", "ColouredGraph", "arcs",
                 "cayley_graph", "complete_bipartite", "complete_colour_graph",
-                "is_connected", "line_graph", "subdivision")),
+                "is_connected")),
     ("engine", ("AffineDecomposition", "AutGroupResult", "Check", "Verdict",
                 "VerdictKind", "arc_lift_harness",
                 "colour_preserving_automorphisms", "is_affine",

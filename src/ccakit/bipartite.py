@@ -180,19 +180,18 @@ def _expected_connection(actors: KnnActors) -> list[int]:
 
 
 def knn_cayley_form(actors: KnnActors
-                    ) -> tuple[labeling.ArcLabeling, CayleyColouredGraph,
-                               list]:
+                    ) -> tuple[labeling.ArcLabeling, CayleyColouredGraph]:
     """Label the arcs of K_{n,n} by G and read off the Cayley presentation.
 
     The connection set must come out as exactly {tau} together with the
     nontrivial powers of rho2; anything else is a construction bug.
     """
     lab = labeling.arc_labeling(actors.graph, actors.g, actors.base_arc)
-    cg, elem_of_vertex, _ = labeling.cayley_form(lab)
+    cg = labeling.cayley_form(lab)
     if list(cg.connection) != _expected_connection(actors):
         raise InternalInconsistencyError(
             "recovered connection set is not {tau} u {rho2^k}")
-    return lab, cg, elem_of_vertex
+    return lab, cg
 
 
 def cyclic_dihedral_witness(n: int) -> Verdict:
@@ -208,7 +207,7 @@ def cyclic_dihedral_witness(n: int) -> Verdict:
     checks.append(Check("actors", True, f"|G| = {actors.g.order}"))
 
     try:
-        lab, cg, _ = knn_cayley_form(actors)
+        lab, cg = knn_cayley_form(actors)
     except ValueError as exc:
         raise PipelineError("arc-regular", str(exc)) from exc
     checks.append(Check("arc-regular", True,

@@ -541,7 +541,7 @@ def arc_lift_harness(g: ColouredGraph, grp: FiniteGroup, h: FiniteGroup,
     checks.append(Check("local-pairs", True,
                         f"complete colour pair at all {g.vertex_count} vertices"))
 
-    cg, _, _ = labeling.cayley_form(lab)
+    cg = labeling.cayley_form(lab)
     bad = sum(not is_colour_preserving(cg, labeling.induced_vertex_map(p, lab))
               for p in h_gens)
     if bad:

@@ -184,50 +184,6 @@ def complete_bipartite(n: int, m: int) -> ColouredGraph:
     return ColouredGraph(n + m, edge_colours, {0: "plain"}, vertex_names=names)
 
 
-def subdivision(g: ColouredGraph):
-    """One new vertex on every edge; colours are dropped (single colour 0).
-
-    Returns (graph, provenance) where provenance[v] is ("vertex", original)
-    for kept vertices and ("edge", (u, w)) for midpoints.
-    """
-    n = g.vertex_count
-    edges = g.edges()
-    provenance: list[tuple] = [("vertex", v) for v in range(n)]
-    names = [g.vertex_label(v) for v in range(n)]
-    edge_colours = {}
-    for rank, (u, w) in enumerate(edges):
-        mid = n + rank
-        provenance.append(("edge", (u, w)))
-        names.append(f"{g.vertex_label(u)}|{g.vertex_label(w)}")
-        edge_colours[(u, mid)] = 0
-        edge_colours[(w, mid)] = 0
-    return (ColouredGraph(n + len(edges), edge_colours, {0: "plain"},
-                          vertex_names=names), provenance)
-
-
-def line_graph(g: ColouredGraph):
-    """Vertices are the edges of g, adjacent when they share an endpoint.
-
-    Returns (graph, provenance) with provenance[v] the edge (u, w) of g that
-    vertex v stands for.  Single colour 0.
-    """
-    edges = g.edges()
-    if not edges:
-        raise ValueError("line graph of an edgeless graph is empty")
-    by_vertex: dict[int, list[int]] = {}
-    for rank, (u, w) in enumerate(edges):
-        by_vertex.setdefault(u, []).append(rank)
-        by_vertex.setdefault(w, []).append(rank)
-    edge_colours = {}
-    for ranks in by_vertex.values():
-        for a in range(len(ranks)):
-            for b in range(a + 1, len(ranks)):
-                edge_colours[(ranks[a], ranks[b])] = 0
-    names = [f"{g.vertex_label(u)}-{g.vertex_label(w)}" for u, w in edges]
-    return (ColouredGraph(len(edges), edge_colours, {0: "plain"},
-                          vertex_names=names), list(edges))
-
-
 def is_connected(g: ColouredGraph) -> bool:
     n = g.vertex_count
     seen = [False] * n

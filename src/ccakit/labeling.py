@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 from . import perm
 from .errors import InternalInconsistencyError
-from .graphs import (Arc, CayleyColouredGraph, ColouredGraph, arcs,
-                     cayley_graph, line_graph, subdivision)
+from .graphs import Arc, CayleyColouredGraph, ColouredGraph, arcs, cayley_graph
 from .groups import FiniteGroup, minimal_generating_sequence
 
 
@@ -95,52 +94,33 @@ def arc_labeling(graph: ColouredGraph, group: FiniteGroup,
     return ArcLabeling(graph, group, base_arc, arc_to_elem, elem_to_arc)
 
 
-def cayley_form(labeling: ArcLabeling
-                ) -> tuple[CayleyColouredGraph, list, ColouredGraph]:
+def cayley_form(labeling: ArcLabeling) -> CayleyColouredGraph:
     """Present the line graph of the subdivision as a coloured Cayley graph.
 
-    Vertices of the line graph are edges of the subdivision; each such edge
-    joins an original vertex x to the midpoint of some edge {x, w}, which is
-    the arc (x, w).  Reading arcs through the labelling identifies the line
-    graph's vertices with group elements; adjacency then matches Cay(G, C)
-    where C is the set of labels adjacent to the base arc's vertex.  The
-    match is verified edge for edge.
-
-    Returns the Cayley graph, the element index of every line-graph vertex,
-    and the bare line graph.
+    Each edge {x, m_xw} of the subdivision, m_xw the midpoint of {x, w}, is
+    the arc (x, w), so the line graph has one vertex per arc, named by its
+    label.  Two such edges meet at x, when the arcs share their tail, or at
+    the midpoint, when one arc is the other reversed; no other pair meets.
+    The connection set C is then the labels of the arcs meeting the base
+    arc, and the line graph is Cay(G, C) when, for every arc labelled x, the
+    labels of the arcs meeting it are the heads x*c of x's edges.  That is
+    verified arc by arc, so edge for edge.
     """
-    sub, provenance = subdivision(labeling.graph)
-    lg, s_edges = line_graph(sub)
-    n = labeling.graph.vertex_count
+    g, label = labeling.graph, labeling.arc_to_elem
+    leaving = [[label[t, w] for w in g.neighbours(t)]
+               for t in range(g.vertex_count)]  # labels of the arcs from t
 
-    elem_of_vertex = []
-    for (a, b) in s_edges:
-        x, mid = (a, b) if a < n else (b, a)
-        kind, payload = provenance[mid]
-        if kind != "edge" or x >= n or mid < n:
+    def meeting(x: int) -> list[int]:
+        t, h = labeling.elem_to_arc[x]
+        return sorted([y for y in leaving[t] if y != x] + [label[h, t]])
+
+    cg = cayley_graph(labeling.group, meeting(labeling.group.identity))
+    for x, pairs in enumerate(cg.adjacency):
+        if meeting(x) != [y for y, _ in pairs]:
             raise InternalInconsistencyError(
-                "subdivision edge does not join a vertex to a midpoint")
-        u, w = payload
-        other = w if x == u else u
-        elem_of_vertex.append(labeling.arc_to_elem[Arc(x, other)])
-
-    vertex_of_elem = [-1] * labeling.group.order
-    for v, e in enumerate(elem_of_vertex):
-        vertex_of_elem[e] = v
-    base_vertex = vertex_of_elem[labeling.group.identity]
-
-    connection = sorted(elem_of_vertex[u]
-                        for u in lg.neighbours(base_vertex))
-    cg = cayley_graph(labeling.group, connection)
-
-    lg_edges = {tuple(sorted((elem_of_vertex[u], elem_of_vertex[w])))
-                for (u, w) in lg.edges()}
-    cay_edges = {(u, x) for u, nbrs in enumerate(cg.adjacency)
-                 for x, _ in nbrs if u < x}
-    if lg_edges != cay_edges:
-        raise InternalInconsistencyError(
-            "line graph of the subdivision is not the expected Cayley graph")
-    return cg, elem_of_vertex, lg
+                "line graph of the subdivision is not the expected Cayley "
+                "graph")
+    return cg
 
 
 def induced_vertex_map(h: tuple[int, ...], labeling: ArcLabeling

@@ -31,8 +31,11 @@ predicts and compares it with the colour group, which
 ``engine.is_complete_colour_pair`` must match kind, checks and witness;
 ``transported_colour_breaks`` transports every element of the overgroup
 through the arc labelling, where ``engine.arc_lift_harness`` transports a
-generating set; ``whole_row_equivariance`` compares every row of the table
-with the arc labels, where ``labeling.arc_labeling`` compares the rows of
+generating set; ``subdivision`` and ``line_graph`` build L(S(X)) as a
+generic graph, whose edges, read back to arc labels by
+``line_graph_of_subdivision_by_label``, ``labeling.cayley_form`` must give
+without building either; ``whole_row_equivariance`` compares every row of
+the table with the arc labels, where ``labeling.arc_labeling`` compares the rows of
 the generators and those already built, and must agree with it; and
 ``model_table_pairs`` and ``model_wreath_elements`` identify the K_{n,n}
 groups with model tables built by ``direct_product`` and ``wreath_c2``,
@@ -515,7 +518,7 @@ def transported_colour_breaks(g, grp, h, base_arc=None):
     """How many elements of h, each transported through the arc labelling
     of g by grp, break a colour of the Cayley form."""
     labeling = arc_labeling(g, grp, base_arc)
-    cg, _, _ = cayley_form(labeling)
+    cg = cayley_form(labeling)
     return sum(not is_colour_preserving(cg, induced_vertex_map(p, labeling))
                for p in h.realization)
 
@@ -529,6 +532,74 @@ def whole_row_equivariance(group, base_arc) -> bool:
     label = {a: i for i, a in enumerate(arc_of)}
     return all([label[(p[x], p[y])] for x, y in arc_of] == row
                for p, row in zip(group.realization, group.table))
+
+
+def subdivision(g: ColouredGraph):
+    """One new vertex on every edge; colours are dropped (single colour 0).
+
+    Returns (graph, provenance) where provenance[v] is ("vertex", original)
+    for kept vertices and ("edge", (u, w)) for midpoints.
+    """
+    n = g.vertex_count
+    edges = g.edges()
+    provenance: list[tuple] = [("vertex", v) for v in range(n)]
+    names = [g.vertex_label(v) for v in range(n)]
+    edge_colours = {}
+    for rank, (u, w) in enumerate(edges):
+        mid = n + rank
+        provenance.append(("edge", (u, w)))
+        names.append(f"{g.vertex_label(u)}|{g.vertex_label(w)}")
+        edge_colours[(u, mid)] = 0
+        edge_colours[(w, mid)] = 0
+    return (ColouredGraph(n + len(edges), edge_colours, {0: "plain"},
+                          vertex_names=names), provenance)
+
+
+def line_graph(g: ColouredGraph):
+    """Vertices are the edges of g, adjacent when they share an endpoint.
+
+    Returns (graph, provenance) with provenance[v] the edge (u, w) of g that
+    vertex v stands for.  Single colour 0.
+    """
+    edges = g.edges()
+    if not edges:
+        raise ValueError("line graph of an edgeless graph is empty")
+    by_vertex: dict[int, list[int]] = {}
+    for rank, (u, w) in enumerate(edges):
+        by_vertex.setdefault(u, []).append(rank)
+        by_vertex.setdefault(w, []).append(rank)
+    edge_colours = {}
+    for ranks in by_vertex.values():
+        for a in range(len(ranks)):
+            for b in range(a + 1, len(ranks)):
+                edge_colours[(ranks[a], ranks[b])] = 0
+    names = [f"{g.vertex_label(u)}-{g.vertex_label(w)}" for u, w in edges]
+    return (ColouredGraph(len(edges), edge_colours, {0: "plain"},
+                          vertex_names=names), list(edges))
+
+
+def line_graph_of_subdivision_by_label(labeling):
+    """The edges of L(S(X)), X the labelled graph, as sorted pairs of arc
+    labels: built as the generic line graph of the generic subdivision,
+    each line-graph vertex read back through both provenances to the arc
+    (x, w) that its subdivision edge {x, m_xw} stands for."""
+    sub, provenance = subdivision(labeling.graph)
+    lg, s_edges = line_graph(sub)
+    n = labeling.graph.vertex_count
+    label_of_vertex = []
+    for (a, b) in s_edges:
+        x, mid = (a, b) if a < n else (b, a)
+        kind, (u, w) = provenance[mid]
+        assert kind == "edge" and x < n <= mid
+        label_of_vertex.append(labeling.arc_to_elem[x, w if x == u else u])
+    return {tuple(sorted((label_of_vertex[u], label_of_vertex[w])))
+            for (u, w) in lg.edges()}
+
+
+def cayley_edges(cg):
+    """The edges {g, g*c} of a Cayley graph as sorted pairs."""
+    return {(u, x) for u, nbrs in enumerate(cg.adjacency)
+            for x, _ in nbrs if u < x}
 
 
 def model_table_pairs(a, b, names, images, group):

@@ -61,7 +61,7 @@ def test_ac1_reflection_witness_n3(capsys):
     # reading the arc labels back gives the involution plus both
     # nontrivial powers of the second rotation, nothing else
     actors = knn_actors(3)
-    _, cg, _ = knn_cayley_form(actors)
+    _, cg = knn_cayley_form(actors)
     names = {actors.g.elements[c] for c in cg.connection}
     assert names == {"tau", "rho2", "rho2^2"}
 

@@ -2,10 +2,10 @@ import pytest
 
 from ccakit.graphs import (Arc, ColouredGraph, arcs, cayley_graph,
                            complete_bipartite, complete_colour_graph,
-                           is_connected, line_graph, subdivision)
+                           is_connected)
 from ccakit.groups import cyclic, dihedral, direct_product
 
-from bruteforce import colour_matrix
+from bruteforce import colour_matrix, line_graph, subdivision
 
 
 def test_coloured_graph_basics():

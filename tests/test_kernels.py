@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from ccakit import engine, kernels
 from ccakit.graphs import (ColouredGraph, cayley_graph, complete_bipartite,
-                           complete_colour_graph, line_graph, subdivision)
+                           complete_colour_graph)
 from ccakit.groups import (cyclic, dihedral, direct_product, greedy_closure,
                            inverse_classes, quaternion)
 from ccakit.speclang import elaborate, parse_expr
 
 from bruteforce import (brute_colour_automorphisms, colour_matrix, edge_dict,
-                        matrix_search, table_preserves)
+                        line_graph, matrix_search, subdivision,
+                        table_preserves)
 from test_engine import ORDER_12_GROUPS
 
 GRAPHS = [

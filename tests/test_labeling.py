@@ -1,8 +1,10 @@
 """Arc labellings: the bridge from an arc-regular action to a Cayley graph."""
 
+from itertools import combinations
+
 import pytest
 
-from ccakit.graphs import Arc, arcs, cayley_graph, is_connected
+from ccakit.graphs import Arc, ColouredGraph, arcs, cayley_graph, is_connected
 from ccakit.labeling import arc_labeling, cayley_form, induced_vertex_map
 from ccakit.engine import is_affine, is_colour_preserving
 from ccakit.errors import InternalInconsistencyError
@@ -10,7 +12,8 @@ from ccakit.groups import closure
 from ccakit.bipartite import knn_actors
 from ccakit.perm import from_cycles
 
-from bruteforce import whole_row_equivariance
+from bruteforce import (cayley_edges, line_graph_of_subdivision_by_label,
+                        whole_row_equivariance)
 
 
 def hexagon():
@@ -140,21 +143,54 @@ def test_arc_labeling_respects_chosen_base():
 def test_cayley_form_of_hexagon():
     g = hexagon()
     grp = dihedral_action()
-    cg, elem_of_vertex, lg = cayley_form(arc_labeling(g, grp))
+    cg = cayley_form(arc_labeling(g, grp))
     # L(S(hexagon)) is a 12-cycle, so the Cayley form has degree 2
     assert cg.graph.vertex_count == 12
     assert cg.graph.edge_count == 12
     assert len(cg.connection) == 2
     assert is_connected(cg.graph)
-    assert sorted(elem_of_vertex) == list(range(12))
-    assert lg.vertex_count == 12
+
+
+@pytest.mark.parametrize("n", [None, 3, 5, 7])
+def test_cayley_form_agrees_with_the_generic_line_graph(n):
+    """The arcs meeting each arc give the edges of L(S(X)) that the generic
+    subdivision and line graph give, read back to arc labels."""
+    graph, action, base_arc = _labelled_action(n)
+    lab = arc_labeling(graph, action(), base_arc)
+    assert (cayley_edges(cayley_form(lab))
+            == line_graph_of_subdivision_by_label(lab))
+
+
+def test_cayley_form_of_k4_under_a4_agrees_with_the_generic_line_graph():
+    """A4 acts arc-regularly on K4, a graph that is not bipartite; each arc
+    meets the two other arcs from its tail and its reverse."""
+    k4 = ColouredGraph(4, {e: 0 for e in combinations(range(4), 2)})
+    a4 = closure([from_cycles(4, [(0, 1, 2)]),
+                  from_cycles(4, [(0, 1), (2, 3)])])
+    lab = arc_labeling(k4, a4)
+    cg = cayley_form(lab)
+    assert cg.vertex_count == 12 and len(cg.connection) == 3
+    assert cayley_edges(cg) == line_graph_of_subdivision_by_label(lab)
+
+
+def test_cayley_form_refuses_a_corrupted_connection_column():
+    g = hexagon()
+    c = cayley_form(arc_labeling(g, dihedral_action())).connection[0]
+    grp = dihedral_action()
+    lab = arc_labeling(g, grp)
+    col = grp.column(c)
+    col[0], col[1] = col[1], col[0]
+    with pytest.raises(InternalInconsistencyError,
+                       match="line graph of the subdivision is not the "
+                             "expected Cayley graph"):
+        cayley_form(lab)
 
 
 def test_induced_map_of_group_element_is_translation():
     g = hexagon()
     grp = dihedral_action()
     lab = arc_labeling(g, grp)
-    cg, _, _ = cayley_form(lab)
+    cg = cayley_form(lab)
     for i in (1, 5, 7):
         induced = induced_vertex_map(grp.realization[i], lab)
         assert is_colour_preserving(cg.graph, induced)
