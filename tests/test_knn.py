@@ -343,14 +343,14 @@ def test_thm31_at_n_21_holds_no_whole_table(monkeypatch):
 
 def test_cayley_form_at_n_21_builds_no_line_graph():
     """Reading L(S(K_{n,n})) off the arcs holds the Cayley graph's
-    adjacency and one arc's meeting labels at a time; building the generic
-    subdivision and line graph peaked at about 5.8 MB here."""
+    adjacency and one label per arc; building the generic subdivision and
+    its line graph peaked at about 5.6 MB here."""
     a = knn_actors(21)
     lab = arc_labeling(a.graph, a.g, a.base_arc)
     tracemalloc.start()
     try:
         cg = labeling.cayley_form(lab)
-        cg.adjacency
+        cg.adjacency  # counted whether or not cayley_form reads it
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
